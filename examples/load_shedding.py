@@ -46,7 +46,7 @@ def run_policy(policy: str) -> tuple:
             calendar=SimulationCalendar(num_days=5),
         ),
         campaign=CampaignConfig(
-            engine="vectorized",
+            engine="matrix",
             frontend_capacity=HEADROOM,
             overload_plan=OverloadPlan.from_spec(DRILL),
             load_policy=policy,

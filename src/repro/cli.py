@@ -164,13 +164,12 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--engine", choices=("reference", "vectorized", "matrix"),
+        "--engine", choices=("reference", "matrix"),
         default="reference",
         help=(
-            "measurement engine (default reference; vectorized is several "
-            "times faster and matrix faster still — the two batched "
-            "engines are bit-identical to each other and across worker "
-            "counts, and statistically equivalent to reference)"
+            "measurement engine (default reference; matrix is many "
+            "times faster, bit-identical across worker counts, and "
+            "statistically equivalent to reference)"
         ),
     )
     parser.add_argument(

@@ -119,10 +119,10 @@ class AnycastStudy:
         falling back to ``ScenarioConfig.workers``) — sharded parallel
         runs produce bit-identical datasets — and the configured
         measurement engine (``CampaignConfig.engine``, falling back to
-        ``ScenarioConfig.engine``): ``"vectorized"`` synthesizes each
-        (client, day) beacon block as numpy batches, several times
-        faster than the scalar ``"reference"`` oracle and statistically
-        equivalent to it.
+        ``ScenarioConfig.engine``): ``"matrix"`` synthesizes each day's
+        beacons as cross-client numpy batches, many times faster than
+        the scalar ``"reference"`` engine and statistically equivalent
+        to it.
         """
         if self._dataset is None:
             runner = ParallelCampaignRunner(

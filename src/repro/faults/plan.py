@@ -7,7 +7,7 @@ plan compiles against a ``(seed, shard count)`` pair into a
 :class:`CompiledFaultPlan` that pins every fault to a ``(shard,
 attempt)`` firing point via :func:`repro.rand.derive_seed`.  Firing
 points therefore depend only on the scenario seed and the shard layout:
-the same plan fires at the same points for the reference and vectorized
+the same plan fires at the same points for the reference and matrix
 engines, for any worker count, and on every re-run — which is what lets
 the chaos tests assert that a campaign surviving injected faults via
 retries is bit-identical to the fault-free run.

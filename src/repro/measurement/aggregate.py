@@ -213,7 +213,7 @@ class LatencyDigest:
         values: Union[np.ndarray, Sequence[float]],
         bounds: Optional[Tuple[float, float]] = None,
     ) -> None:
-        """Append a batch of samples (the vectorized engine's bulk path).
+        """Append a batch of samples (the batched engines' bulk path).
 
         Accepts any float sequence; numpy arrays append through the
         buffer protocol without a per-element Python loop.  ``bounds``
@@ -745,51 +745,6 @@ class RequestDiffLog:
         self._anycast.append(anycast_rtt_ms)
         self._best_unicast.append(best_unicast_rtt_ms)
 
-    def observe_many(
-        self,
-        day: int,
-        client_index: int,
-        region_name: str,
-        anycast_rtts_ms: Union[np.ndarray, Sequence[float]],
-        best_unicast_rtts_ms: Union[np.ndarray, Sequence[float]],
-    ) -> None:
-        """Record one client-day's beacon summaries in bulk.
-
-        Both value sequences must have equal length; the day, client, and
-        region are shared by every row (which is exactly the shape one
-        vectorized (client, day) block produces).
-        """
-        n = len(anycast_rtts_ms)
-        if len(best_unicast_rtts_ms) != n:
-            raise MeasurementError(
-                "anycast and best-unicast batches must have equal length"
-            )
-        if n == 0:
-            return
-        if self._bounded:
-            anycast32 = np.ascontiguousarray(
-                anycast_rtts_ms, dtype=np.float32
-            ).astype(np.float64)
-            best32 = np.ascontiguousarray(
-                best_unicast_rtts_ms, dtype=np.float32
-            ).astype(np.float64)
-            self._sketch_for(day, region_name).extend(anycast32 - best32)
-            self._total += n
-            return
-        code = self.region_code(region_name)
-        self._day.extend([day] * n)
-        self._client_index.extend([client_index] * n)
-        self._region_code.extend([code] * n)
-        # float32 storage, same cast the scalar append performs.
-        self._anycast.frombytes(
-            np.ascontiguousarray(anycast_rtts_ms, dtype=np.float32).tobytes()
-        )
-        self._best_unicast.frombytes(
-            np.ascontiguousarray(
-                best_unicast_rtts_ms, dtype=np.float32
-            ).tobytes()
-        )
-
     def observe_columns(
         self,
         day: int,
@@ -800,8 +755,8 @@ class RequestDiffLog:
     ) -> None:
         """Record one whole day of beacon summaries as columns.
 
-        The matrix engine's sink: unlike :meth:`observe_many`, rows may
-        span many clients and regions.  ``region_codes`` must come from
+        The matrix engine's sink: rows may span many clients and
+        regions.  ``region_codes`` must come from
         *this* log's :meth:`region_code` registry.  Exact mode packs the
         columns straight into the backing arrays (same float32 casts as
         the per-client paths, so the stored row multiset is identical);

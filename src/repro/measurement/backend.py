@@ -8,12 +8,11 @@ so campaigns never hold raw logs in memory, while :func:`join_raw_log`
 provides the batch equivalent over a :class:`RawMeasurementLog` for tests
 and small studies.
 
-The vectorized measurement engine synthesizes measurements already
-joined (it knows the target, serving front-end, and RTT of every fetch
-at once), so it feeds the backend through :meth:`BeaconBackend
-.on_joined_batch` — columnar :class:`JoinedBatch` blocks that bypass the
-per-id partial bookkeeping while keeping the joined-row accounting and
-observer fan-out in one place.
+The matrix measurement engine synthesizes measurements already joined
+(it knows the target, serving front-end, and RTT of every fetch at
+once) and writes them into the aggregate sinks itself, so it only
+reports its joined-row volume here via
+:meth:`BeaconBackend.count_joined_bulk`.
 """
 
 from __future__ import annotations
@@ -31,45 +30,6 @@ from repro.measurement.logs import (
 
 #: Callback type receiving each joined measurement.
 JoinedObserver = Callable[[JoinedMeasurement], None]
-
-
-@dataclass(frozen=True)
-class JoinedSegment:
-    """A run of joined measurements sharing target and serving front-end.
-
-    ``rtts_ms`` is typically a float64 numpy array (one RTT per fetch);
-    any float sequence works.
-    """
-
-    target_id: str
-    frontend_id: str
-    rtts_ms: Sequence[float]
-
-    def __len__(self) -> int:
-        return len(self.rtts_ms)
-
-
-@dataclass(frozen=True)
-class JoinedBatch:
-    """One (client, day) block of pre-joined measurements, columnar.
-
-    Every row in the batch shares the day, client /24, and resolver; the
-    per-(target, front-end) segments carry the RTT columns.
-    """
-
-    day: int
-    client_key: str
-    ldns_id: str
-    segments: Tuple[JoinedSegment, ...]
-
-    @property
-    def count(self) -> int:
-        """Total joined rows in the batch."""
-        return sum(len(segment) for segment in self.segments)
-
-
-#: Callback type receiving each joined batch.
-BatchObserver = Callable[[JoinedBatch], None]
 
 
 @dataclass
@@ -92,23 +52,14 @@ class _Partial:
 class BeaconBackend:
     """Incremental three-way join keyed by measurement id."""
 
-    def __init__(
-        self,
-        observers: Sequence[JoinedObserver] = (),
-        batch_observers: Sequence[BatchObserver] = (),
-    ) -> None:
+    def __init__(self, observers: Sequence[JoinedObserver] = ()) -> None:
         self._observers: List[JoinedObserver] = list(observers)
-        self._batch_observers: List[BatchObserver] = list(batch_observers)
         self._partials: Dict[str, _Partial] = {}
         self._joined_count = 0
 
     def add_observer(self, observer: JoinedObserver) -> None:
         """Register another consumer of joined rows."""
         self._observers.append(observer)
-
-    def add_batch_observer(self, observer: BatchObserver) -> None:
-        """Register a consumer of columnar joined batches."""
-        self._batch_observers.append(observer)
 
     @property
     def joined_count(self) -> int:
@@ -146,40 +97,13 @@ class BeaconBackend:
         partial.http = entry
         self._maybe_emit(entry.measurement_id, partial)
 
-    def on_joined_batch(self, batch: JoinedBatch) -> None:
-        """Ingest a block of already-joined measurements.
-
-        The vectorized engine's bulk path: no per-id partial state, one
-        joined-count bump, and one callback per batch observer.  Scalar
-        observers (if any are registered) still receive one
-        :class:`JoinedMeasurement` per row, so mixed consumers see the
-        same stream either way.
-        """
-        self._joined_count += batch.count
-        for batch_observer in self._batch_observers:
-            batch_observer(batch)
-        if self._observers:
-            for segment in batch.segments:
-                for rtt_ms in segment.rtts_ms:
-                    joined = JoinedMeasurement(
-                        day=batch.day,
-                        client_key=batch.client_key,
-                        ldns_id=batch.ldns_id,
-                        target_id=segment.target_id,
-                        frontend_id=segment.frontend_id,
-                        rtt_ms=float(rtt_ms),
-                    )
-                    for observer in self._observers:
-                        observer(joined)
-
     def count_joined_bulk(self, count: int) -> None:
-        """Account ``count`` already-joined rows without batch objects.
+        """Account ``count`` already-joined rows.
 
         The matrix engine writes its columns into the aggregate sinks
-        directly (no per-client :class:`JoinedBatch` is materialized),
-        so it reports its admitted row volume here — the same number a
-        per-client engine would accumulate via segment counts.  Only
-        valid for sinks with no scalar observers to notify.
+        directly, so it reports its admitted row volume here — the
+        number of rows the per-id join would have emitted.  Only valid
+        for backends with no scalar observers to notify.
 
         Raises:
             MeasurementError: if scalar observers are registered — they
@@ -188,7 +112,7 @@ class BeaconBackend:
         if self._observers:
             raise MeasurementError(
                 "bulk joined-count accounting cannot notify scalar "
-                "observers; use on_joined_batch"
+                "observers"
             )
         if count < 0:
             raise MeasurementError("joined count cannot be negative")

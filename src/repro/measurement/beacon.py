@@ -148,9 +148,9 @@ class BeaconTargetSelector:
     def log_pick_weights(self, ldns_id: str) -> np.ndarray:
         """``log`` of the rank weights over :meth:`pick_pool`, cached.
 
-        The additive term of the Gumbel top-k pick used by the batched
-        engines; cached per LDNS so the per-(client, day) hot paths do
-        no allocation or ``log`` work.
+        The additive term of the Gumbel top-k pick the matrix engine
+        uses — distributed exactly as :meth:`select_targets`'s sequential
+        rank-weighted draws without replacement; cached per LDNS.
         """
         cached = self._log_weights.get(ldns_id)
         if cached is None:
@@ -158,33 +158,6 @@ class BeaconTargetSelector:
             cached = np.log(np.asarray(self._weights[ldns_id]))
             self._log_weights[ldns_id] = cached
         return cached
-
-    def sample_pick_indices(
-        self, ldns_id: str, gen: np.random.Generator, count: int
-    ) -> np.ndarray:
-        """Random-pick index sets for ``count`` beacons at once.
-
-        Returns a ``(count, picks)`` integer matrix of indices into
-        :meth:`pick_pool`.  Uses the Gumbel top-k trick: the ``k``
-        largest values of ``log(weight) + Gumbel(0, 1)`` per row are
-        distributed exactly as ``k`` sequential rank-weighted draws
-        without replacement — the same Plackett–Luce process the scalar
-        :meth:`select_targets` performs with ``rng.choices`` + ``pop``.
-        Indices within a row are not ordered by draw sequence, which is
-        immaterial: a beacon's picks form a set, and every fetch's
-        randomness is drawn per fetch elsewhere.
-        """
-        candidates = self.candidates(ldns_id)  # also caches the weights
-        pool_size = len(candidates) - 1
-        picks = min(self._config.random_picks, pool_size)
-        if picks == 0 or count == 0:
-            return np.empty((count, 0), dtype=np.intp)
-        keys = self.log_pick_weights(ldns_id)[np.newaxis, :] + gen.gumbel(
-            size=(count, pool_size)
-        )
-        if picks == pool_size:
-            return np.tile(np.arange(pool_size, dtype=np.intp), (count, 1))
-        return np.argpartition(-keys, picks - 1, axis=1)[:, :picks]
 
 
 @dataclass(frozen=True)

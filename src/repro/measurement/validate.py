@@ -421,7 +421,7 @@ class ValidationGate:
     def admit_matrix(
         self, day: int, client_key: str, rtts: np.ndarray
     ) -> Optional[np.ndarray]:
-        """Validate a ``(B, T)`` RTT block; the vectorized-engine path.
+        """Validate a ``(B, T)`` RTT block; the matrix engine's path.
 
         Returns ``None`` when every cell is valid (the caller keeps its
         zero-copy fast path), else a boolean admit mask.  Under the

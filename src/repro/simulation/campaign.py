@@ -24,27 +24,31 @@ lets :class:`repro.simulation.parallel.ParallelCampaignRunner` split the
 population into contiguous shards, run them in separate processes, and
 merge the partial datasets into the exact dataset a serial run produces.
 
-**Engines.**  Two measurement engines share this campaign skeleton (day
-loop, churn/episode plans, passive traffic, query/beacon volumes — all
-identical between them):
+**Engines.**  Two measurement engines implement one staging interface
+(``stage_client_day`` / ``run_day``) under a single day loop, which owns
+everything they share — churn and episode plans, query and beacon
+volumes, passive traffic, anycast daily offsets, load extras, and the
+dirty-record slot map:
 
-* ``"reference"`` — the scalar oracle: every beacon fetch runs through
+* ``"reference"`` — :class:`_ReferenceBeaconEngine`, the scalar path:
+  every beacon fetch runs through
   :class:`repro.measurement.beacon.BeaconRunner` and draws one sample at
   a time from the per-(client, day) ``random.Random`` stream;
-* ``"vectorized"`` — :class:`_VectorizedBeaconEngine`: each (client,
-  day) block of beacons is synthesized as numpy arrays from a
-  ``numpy.random.Generator`` derived from the same seed chain, and
-  flows into the sinks through bulk APIs.
+* ``"matrix"`` — :class:`_MatrixBeaconEngine`: each day's beacons are
+  synthesized as cross-client numpy chunks from counter-based streams
+  (:mod:`repro.simulation.counterrng`) and flow into the sinks through
+  columnar bulk APIs.
 
-Each engine honors the determinism contract above *within itself*
-(serial ≡ sharded ≡ parallel for a fixed engine); the two engines'
-datasets agree statistically but not bit-for-bit, since they consume
-different random streams.
+Each engine honors the determinism contract above (serial ≡ sharded for
+a fixed engine).  The two engines draw beacon terms from different
+streams, so their datasets agree statistically, not bit-for-bit; their
+workload draws, passive logs and beacon counts are identical.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -68,7 +72,7 @@ from repro.measurement.sketch import (
     MIN_MAX_BUCKETS,
 )
 from repro.telemetry.memory import peak_rss_bytes
-from repro.measurement.backend import BeaconBackend, JoinedBatch, JoinedSegment
+from repro.measurement.backend import BeaconBackend
 from repro.measurement.beacon import BeaconConfig, BeaconRunner, BeaconTargetSelector
 from repro.measurement.logs import HttpLogEntry, JoinedMeasurement, PassiveLog
 from repro.measurement.validate import (
@@ -157,16 +161,14 @@ class CampaignConfig:
             serial and sharded runs.
         workers: Worker-process count for the campaign, or ``None`` to
             inherit :attr:`repro.simulation.scenario.ScenarioConfig.workers`.
-        engine: Measurement engine — ``"reference"`` (scalar oracle),
-            ``"vectorized"`` (numpy-batched per (client, day) block),
-            ``"matrix"`` (whole-day cross-client batches, fastest), or
-            ``None`` to inherit
+        engine: Measurement engine — ``"reference"`` (scalar, one
+            fetch at a time), ``"matrix"`` (whole-day cross-client
+            batches, fastest), or ``None`` to inherit
             :attr:`repro.simulation.scenario.ScenarioConfig.engine`.
-            Every engine is deterministic per seed and bit-identical
-            across worker counts.  ``vectorized`` and ``matrix`` share
-            the counter-based beacon streams and produce *bit-identical*
-            datasets; the reference engine consumes different streams,
-            so its dataset agrees statistically, not bit-for-bit.
+            Both engines are deterministic per seed and bit-identical
+            across worker counts.  They draw beacon terms from different
+            streams, so their datasets agree statistically, not
+            bit-for-bit.
         fault_plan: Optional deterministic fault schedule
             (:class:`repro.faults.FaultPlan`) injected into the run —
             worker crashes, hangs, transient exceptions, corrupted shard
@@ -278,10 +280,10 @@ class CampaignConfig:
                 f"unknown validation policy {self.validation!r}; expected "
                 "'strict', 'lenient', or 'repair'"
             )
-        if self.engine not in (None, "reference", "vectorized", "matrix"):
+        if self.engine not in (None, "reference", "matrix"):
             raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected 'reference', "
-                "'vectorized', or 'matrix'"
+                f"unknown engine {self.engine!r}; expected 'reference' "
+                "or 'matrix'"
             )
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
@@ -937,16 +939,15 @@ class _PathCache:
         return baseline
 
 
-#: Beacon sessions synthesized per numpy block.  Days heavier than this
-#: are processed in fixed-size blocks over the same per-(client, day)
-#: stream, bounding the engine's transient matrices at roughly
-#: ``_MAX_BLOCK_BEACONS x targets`` doubles regardless of volume.
+#: Beacon sessions per span of the matrix engine's block grid.  A
+#: client-day's rows split into spans of this size, and validation-gate
+#: calls (hence quarantine record coordinates) are span-local, which is
+#: why chunk boundaries must fall on span boundaries.
 _MAX_BLOCK_BEACONS = 4096
 
 #: Rows the matrix engine synthesizes per chunk.  A chunk concatenates
-#: whole 4096-session spans from many clients; this cap bounds the
-#: transient day matrices the same way ``_MAX_BLOCK_BEACONS`` bounds the
-#: per-client engine's.
+#: whole spans from many clients (a single span may exceed the cap);
+#: the cap bounds the transient day matrices and never changes a value.
 _MATRIX_CHUNK_ROWS = 32768
 
 
@@ -969,13 +970,12 @@ def _daily_path_offsets(
     Returns a ``(clients, 1 + pool_size)`` matrix: column 0 the closest
     unicast target, column ``1 + j`` pool position ``j``.  Every value is
     a pure function of (seed, day, client index, path slot) through the
-    counter streams, so the per-client oracle and the whole-day matrix
-    engine evaluate identical offsets no matter how they batch the
-    computation.  The *anycast* path's offset is not here: it stays on
-    the shared per-(day, client) ``derive_rng`` scalar stream so the
-    reference and batched engines realize the same anycast elevation
-    days (the per-client anycast distributions are compared directly by
-    the equivalence tests; path slot 0 is reserved for it).
+    counter streams, so any batching of clients evaluates identical
+    offsets.  The *anycast* path's offset is not here: it stays on the
+    shared per-(day, client) ``derive_rng`` scalar stream so both
+    engines realize the same anycast elevation days (the per-client
+    anycast distributions are compared directly by the equivalence
+    tests; path slot 0 is reserved for it).
     """
     cfg = latency_config
     count = int(client_indices.shape[0])
@@ -1010,41 +1010,38 @@ def _synthesize_rtts(
     pool_size: int,
     picks: int,
     log_weights: Optional[np.ndarray],
-    frac0,
-    anycast_fixed0,
-    anycast_fixed1,
+    frac0: np.ndarray,
+    anycast_fixed0: np.ndarray,
+    anycast_fixed1: np.ndarray,
     unicast_fixed: np.ndarray,
     overhead_rows: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Synthesize RTT rows from the counter streams.
 
-    The single draw path both batched engines share: every random term —
-    rank switch, Gumbel pick keys, jitter body, spike gate/magnitude,
-    measurement overhead — is evaluated from ``hashed_uniform`` at the
-    (row, slot) coordinates in ``row_gids``/``layout``, and every
-    floating-point expression is written once here, so any batching of
-    the same rows produces bit-identical values.
+    Every random term — rank switch, Gumbel pick keys, jitter body,
+    spike gate/magnitude, measurement overhead — is evaluated from
+    ``hashed_uniform`` at the (row, slot) coordinates in
+    ``row_gids``/``layout``, and every floating-point expression is
+    element-wise, so any batching of the same rows produces bit-identical
+    values.
 
     Args:
         row_gids: Stride-scaled (client, row) draw coordinates.
-        log_weights: ``log`` pick weights — a ``(pool_size,)`` vector
-            (single client) or ``(rows, pool_size)`` matrix; only needed
-            when ``0 < picks < pool_size``.
-        frac0: First-rank traffic fraction (scalar or per-row);
-            ``1.0`` for single-rank days, which makes the rank draw a
-            no-op since uniforms are strictly below 1.
-        anycast_fixed0 / anycast_fixed1: Fixed anycast RTT component on
-            the first / second session rank (scalar or per-row).
-        unicast_fixed: Fixed components for the closest target (col 0)
-            and the pick pool (cols 1..) — ``(1 + pool_size,)`` vector
-            or per-row matrix.
+        log_weights: Per-row ``(rows, pool_size)`` ``log`` pick weights;
+            only needed when ``0 < picks < pool_size``.
+        frac0: Per-row first-rank traffic fraction; ``1.0`` for
+            single-rank days, which makes the rank draw a no-op since
+            uniforms are strictly below 1.
+        anycast_fixed0 / anycast_fixed1: Per-row fixed anycast RTT
+            component on the first / second session rank.
+        unicast_fixed: Per-row fixed components for the closest target
+            (col 0) and the pick pool (cols 1..).
         overhead_rows: Row indices that lack Resource Timing and incur
             the measurement-overhead term, or ``None`` for none.
 
     Returns:
-        ``(on_first_rank, pick_indices, rtts)`` — the rank mask, the
-        ``(rows, picks)`` pool-index matrix, and the rounded
-        ``(rows, 2 + picks)`` RTT matrix.
+        ``(pick_indices, rtts)`` — the ``(rows, picks)`` pool-index
+        matrix and the rounded ``(rows, 2 + picks)`` RTT matrix.
     """
     cfg = latency_config
     n = int(row_gids.shape[0])
@@ -1099,7 +1096,7 @@ def _synthesize_rtts(
         rows, cols = np.nonzero(spiked)
         if rows.size:
             # Spike magnitudes exist only where the gate fired; counter
-            # streams let both engines evaluate exactly that subset.
+            # streams evaluate exactly that subset.
             mag_gids = (
                 row_gids[rows]
                 + np.uint64(layout.spike_mag_base)
@@ -1133,51 +1130,32 @@ def _synthesize_rtts(
 
     fixed = np.empty((n, targets))
     fixed[:, 0] = np.where(on_first, anycast_fixed0, anycast_fixed1)
-    if unicast_fixed.ndim == 1:
-        fixed[:, 1] = unicast_fixed[0]
-        if picks:
-            fixed[:, 2:] = unicast_fixed[1:][pick_indices]
-    else:
-        fixed[:, 1] = unicast_fixed[:, 0]
-        if picks:
-            fixed[:, 2:] = np.take_along_axis(
-                unicast_fixed[:, 1:], pick_indices, axis=1
-            )
+    fixed[:, 1] = unicast_fixed[:, 0]
+    if picks:
+        fixed[:, 2:] = np.take_along_axis(
+            unicast_fixed[:, 1:], pick_indices, axis=1
+        )
     # Browser timing APIs report integer milliseconds (same rounding
     # the reference engine applies per fetch).
     rtts = np.rint(fixed + jitter)
-    return on_first, pick_indices, rtts
+    return pick_indices, rtts
 
 
-class _VectorizedBeaconEngine:
-    """Batched beacon synthesis: one numpy block per (client, day).
+class _ReferenceBeaconEngine:
+    """Scalar beacon execution: the §3.2.2 methodology one fetch at a time.
 
-    The scalar reference engine walks every beacon fetch through Python —
-    target selection, jitter draw, sink append — one call at a time.
-    This engine synthesizes a whole (client, day) block of ``B`` beacons
-    × ``T`` targets as arrays:
+    Every beacon runs through :class:`repro.measurement.beacon.BeaconRunner`
+    — rank-weighted target selection, LDNS resolution against per-resolver
+    TTL caches, one jitter draw per fetch — and every fetch passes the
+    validation gate and the three-way :class:`BeaconBackend` join.  The
+    per-beacon draws continue the client-day's
+    ``derive_rng(seed, "campaign", day, key)`` stream right after its
+    workload draws; each unicast path's daily offset comes from its own
+    ``(day, client, target)`` derived stream.
 
-    * session-rank switches, random-pick keys, daily congestion offsets,
-      jitter bodies, spike masks, spike magnitudes, and primitive-timing
-      overheads are counter-based streams
-      (:mod:`repro.simulation.counterrng`): pure functions of (seed, day,
-      client index, beacon row, slot), evaluated through the shared
-      :func:`_synthesize_rtts` path;
-    * per-target fixed components (cached path baseline + persistent
-      offset + daily congestion offset + episode inflation) assemble into
-      a ``(B, T)`` base matrix that the jitter adds onto;
-    * results flow into the sinks through the bulk APIs
-      (:meth:`BeaconBackend.on_joined_batch`,
-      :meth:`RequestDiffLog.observe_many`) — no per-sample Python calls.
-
-    Because every draw is a pure per-coordinate function, the engine is
-    deterministic per seed and bit-identical across serial, sharded, and
-    re-ordered runs — and, by construction, bit-identical to the
-    whole-day :class:`_MatrixBeaconEngine`, which evaluates the same
-    streams batched across clients.  This per-client form is the oracle
-    the matrix engine is verified against.  The reference engine consumes
-    different streams, so its digests differ while the distributions
-    match (pinned by the equivalence tests).
+    Staged client-days run in staging order when :meth:`run_day` runs,
+    so the resolver caches see one fixed fetch sequence no matter how the
+    day loop is sliced; the caches are purged at the end of every day.
     """
 
     def __init__(
@@ -1188,274 +1166,168 @@ class _VectorizedBeaconEngine:
         beacon_config: BeaconConfig,
         backend: BeaconBackend,
         request_diffs: RequestDiffLog,
+        ecs_aggregates: GroupedDailyAggregates,
+        ldns_aggregates: GroupedDailyAggregates,
         gate: ValidationGate,
+        regions: Dict[str, str],
+        resource_timing: Dict[str, bool],
     ) -> None:
         self._scenario = scenario
-        self._selector = selector
+        self._runner = BeaconRunner(selector, beacon_config)
         self._paths = paths
-        self._beacon_config = beacon_config
         self._backend = backend
         self._request_diffs = request_diffs
         self._gate = gate
-        self._latency = scenario.latency_model
-        self._seed = scenario.config.seed
-        self._layout = _layout_for(beacon_config)
+        self._regions = regions
+        self._resource_timing = resource_timing
+        self._staged: List[tuple] = []
 
-    def run_client_day(
+        def on_joined(row: JoinedMeasurement) -> None:
+            ecs_aggregates.observe(
+                row.day, row.client_key, row.target_id, row.rtt_ms
+            )
+            ldns_aggregates.observe(
+                row.day, row.ldns_id, row.target_id, row.rtt_ms
+            )
+
+        backend.add_observer(on_joined)
+
+    def stage_client_day(
         self,
-        day: int,
-        day_keys: DayKeys,
         client: ClientPrefix,
-        client_index: int,
-        region: str,
-        resource_timing_supported: bool,
         plan: DayRoutePlan,
         beacons: int,
+        rng: random.Random,
         anycast_extra_ms: float,
         degraded_frontend: Optional[str],
         unicast_inflation_ms: float,
         dirty_slots: Optional[Dict[int, FaultKind]] = None,
         load_extras: Optional[Dict[str, float]] = None,
     ) -> None:
-        """Synthesize and sink one client-day's ``beacons`` sessions.
-
-        Days up to ``_MAX_BLOCK_BEACONS`` sessions run as a single
-        block.  Heavier days (large simulated populations behind one
-        /24) are split into fixed-size blocks with *absolute* row
-        indices into the counter streams, so the transient ``(B, T)``
-        matrices — the campaign's peak-memory driver — stay bounded no
-        matter the day's volume while every draw stays independent of
-        the block boundaries.
-        """
-        if beacons > ROW_CAP:
-            raise ConfigurationError(
-                f"client-day of {beacons} beacons exceeds the "
-                f"{ROW_CAP} row capacity of the counter streams"
+        """Queue one active client-day for the next :meth:`run_day`."""
+        self._staged.append(
+            (
+                client, plan, beacons, rng, anycast_extra_ms,
+                degraded_frontend, unicast_inflation_ms, dirty_slots,
+                load_extras,
             )
-        key = client.key
-        ldns_id = client.ldns_id
-        selector = self._selector
-        closest = selector.closest(ldns_id)
-        pool = selector.pick_pool(ldns_id)
-        pool_size = len(pool)
-        picks = min(self._beacon_config.random_picks, pool_size)
-
-        offsets = _daily_path_offsets(
-            self._latency.config,
-            self._layout,
-            day_keys.daily,
-            np.array([client_index]),
-            pool_size,
-        )[0]
-
-        # Anycast fixed component per possible session rank (1 or 2).
-        rank_frontends: List[str] = []
-        rank_fixed: List[float] = []
-        for rank in plan.ranks:
-            frontend_id, baseline = self._paths.anycast(key, rank)
-            rank_frontends.append(frontend_id)
-            rank_fixed.append(baseline + anycast_extra_ms)
-        dual_rank = len(plan.ranks) > 1
-        # With frac0 pinned to 1.0, the rank draw (strictly below 1)
-        # always lands on the first rank — single-rank days cost no
-        # branch in the shared synthesis path.
-        frac0 = plan.fractions[0] if dual_rank else 1.0
-        anycast_fixed0 = rank_fixed[0]
-        anycast_fixed1 = rank_fixed[1] if dual_rank else rank_fixed[0]
-
-        unicast_fixed = np.empty(1 + pool_size)
-        unicast_fixed[0] = self._paths.unicast(key, closest) + offsets[0]
-        for position, target_id in enumerate(pool):
-            unicast_fixed[1 + position] = (
-                self._paths.unicast(key, target_id) + offsets[1 + position]
-            )
-        if load_extras:
-            # Queueing-delay extras land after the daily offsets and
-            # before episode degradation — the same element-wise order
-            # the matrix engine applies its staged adjustments in.
-            extra = load_extras.get(closest)
-            if extra is not None:
-                unicast_fixed[0] += extra
-            for position, target_id in enumerate(pool):
-                extra = load_extras.get(target_id)
-                if extra is not None:
-                    unicast_fixed[1 + position] += extra
-        if degraded_frontend is not None:
-            if closest == degraded_frontend:
-                unicast_fixed[0] += unicast_inflation_ms
-            for position, target_id in enumerate(pool):
-                if target_id == degraded_frontend:
-                    unicast_fixed[1 + position] += unicast_inflation_ms
-
-        log_weights = (
-            selector.log_pick_weights(ldns_id)
-            if 0 < picks < pool_size
-            else None
         )
-        for start in range(0, beacons, _MAX_BLOCK_BEACONS):
-            self._run_block(
-                day,
-                day_keys,
-                key,
-                ldns_id,
-                client_index,
-                region,
-                resource_timing_supported,
-                dual_rank,
-                frac0,
-                anycast_fixed0,
-                anycast_fixed1,
-                unicast_fixed,
-                log_weights,
-                rank_frontends,
-                closest,
-                pool,
-                pool_size,
-                picks,
-                min(_MAX_BLOCK_BEACONS, beacons - start),
-                start,
-                dirty_slots,
-            )
 
-    def _run_block(
+    def run_day(self, day: int, day_keys: DayKeys) -> None:
+        """Run every staged client-day in order, then purge the caches.
+
+        ``day_keys`` is unused: the scalar path draws from sequential
+        streams, not counter streams.
+        """
+        day_start = self._scenario.calendar.seconds_at(day)
+        for staged in self._staged:
+            self._run_client_day(day, day_start, *staged)
+        self._staged.clear()
+        self._runner.purge_caches(day_start + 86_400.0)
+
+    def dns_cache_stats(self) -> Tuple[int, int]:
+        """LDNS resolver-cache ``(hits, misses)`` over the run."""
+        return self._runner.cache_stats()
+
+    def _run_client_day(
         self,
         day: int,
-        day_keys: DayKeys,
-        key: str,
-        ldns_id: str,
-        client_index: int,
-        region: str,
-        resource_timing_supported: bool,
-        dual_rank: bool,
-        frac0: float,
-        anycast_fixed0: float,
-        anycast_fixed1: float,
-        unicast_fixed: np.ndarray,
-        log_weights: Optional[np.ndarray],
-        rank_frontends: List[str],
-        closest: str,
-        pool: Tuple[str, ...],
-        pool_size: int,
-        picks: int,
+        day_start: float,
+        client: ClientPrefix,
+        plan: DayRoutePlan,
         beacons: int,
-        beacon_start: int,
-        dirty_slots: Optional[Dict[int, FaultKind]] = None,
+        rng: random.Random,
+        anycast_extra: float,
+        degraded_frontend: Optional[str],
+        unicast_inflation: float,
+        dirty_slots: Optional[Dict[int, FaultKind]],
+        load_extras: Optional[Dict[str, float]],
     ) -> None:
-        """Synthesize and sink one block of ``beacons`` sessions."""
-        targets = 2 + picks
-        rows = np.arange(
-            beacon_start, beacon_start + beacons, dtype=np.uint64
-        )
-        row_gids = self._layout.row_gids(client_index, rows)
-        overhead_rows = (
-            None if resource_timing_supported else np.arange(beacons)
-        )
-        on_first_rank, pick_indices, rtts = _synthesize_rtts(
-            self._latency.config,
-            self._beacon_config,
-            self._layout,
-            day_keys.beacon,
-            row_gids,
-            pool_size,
-            picks,
-            log_weights,
-            frac0,
-            anycast_fixed0,
-            anycast_fixed1,
-            unicast_fixed,
-            overhead_rows,
-        )
-        if not dual_rank:
-            on_first_rank = None
-        if picks:
-            picked_pool_indices = np.unique(pick_indices)
-        else:
-            picked_pool_indices = np.empty(0, dtype=np.intp)
+        scenario = self._scenario
+        latency = scenario.latency_model
+        seed = scenario.config.seed
+        paths = self._paths
+        gate = self._gate
+        backend = self._backend
+        key = client.key
+        client_index = scenario.client_index(key)
+        region = self._regions[key]
+        unicast_offsets: Dict[str, float] = {}
+        session_rank_cell = [plan.ranks[0]]
 
-        if dirty_slots:
-            # Record faults land on flat b * T + t slots — the same
-            # coordinates the reference engine counts fetches in (day
-            # level, so rebase into this block's rows).
-            for flat, kind in dirty_slots.items():
-                b, t = divmod(flat, targets)
-                b -= beacon_start
-                if not 0 <= b < beacons:
+        def serve(target_id: str) -> Tuple[str, float]:
+            if target_id == ANYCAST_TARGET:
+                frontend_id, baseline = paths.anycast(
+                    key, session_rank_cell[0]
+                )
+                extra = anycast_extra
+            else:
+                frontend_id = target_id
+                baseline = paths.unicast(key, target_id)
+                offset = unicast_offsets.get(target_id)
+                if offset is None:
+                    offset = latency.sample_daily_variation_ms(
+                        derive_rng(
+                            seed, "daily-variation", day, key, target_id
+                        ),
+                        anycast=False,
+                    )
+                    unicast_offsets[target_id] = offset
+                extra = offset
+                if load_extras:
+                    extra += load_extras.get(target_id, 0.0)
+                if target_id == degraded_frontend:
+                    extra += unicast_inflation
+            rtt = baseline + latency.sample_jitter_ms(rng) + extra
+            return frontend_id, rtt
+
+        record_index = 0
+        for _ in range(beacons):
+            session_rank_cell[0] = plan.sample_rank(rng)
+            fetches = self._runner.run_beacon(
+                ldns_id=client.ldns_id,
+                resource_timing_supported=self._resource_timing[key],
+                serve=serve,
+                rng=rng,
+                now=day_start,
+            )
+            anycast_rtt: Optional[float] = None
+            best_unicast: Optional[float] = None
+            for fetch in fetches:
+                rtt_ms = fetch.rtt_ms
+                if dirty_slots:
+                    kind = dirty_slots.get(record_index)
+                    if kind is not None:
+                        rtt_ms = RecordFaultInjector.dirty_value(kind, rtt_ms)
+                admitted = gate.admit(day, key, record_index, rtt_ms)
+                record_index += 1
+                if admitted is None:
+                    # Quarantined: the record never reaches any log
+                    # stream, so it cannot join.
                     continue
-                rtts[b, t] = RecordFaultInjector.dirty_value(
-                    kind, float(rtts[b, t])
+                backend.on_dns(
+                    fetch.measurement_id, client.ldns_id, fetch.target_id
                 )
-
-        admit = self._gate.admit_matrix(day, key, rtts)
-        if admit is None:
-            # Every cell valid (the overwhelmingly common case): the
-            # original zero-copy bulk path.
-            best_unicast = rtts[:, 1:].min(axis=1)
-            self._request_diffs.observe_many(
-                day, client_index, region, rtts[:, 0], best_unicast
-            )
-        else:
-            # A session contributes a diff row only when its anycast
-            # fetch and at least one unicast fetch were admitted — the
-            # same rule the reference engine's per-fetch tracking
-            # applies.
-            row_ok = admit[:, 0] & admit[:, 1:].any(axis=1)
-            if row_ok.any():
-                best_unicast = np.where(
-                    admit[:, 1:], rtts[:, 1:], np.inf
-                ).min(axis=1)
-                self._request_diffs.observe_many(
-                    day,
-                    client_index,
-                    region,
-                    rtts[row_ok, 0],
-                    best_unicast[row_ok],
+                backend.on_server(
+                    fetch.measurement_id, fetch.serving_frontend_id
                 )
-
-        segments: List[JoinedSegment] = []
-
-        def add_segment(
-            target_id: str, frontend_id: str, values: np.ndarray
-        ) -> None:
-            if values.size:
-                segments.append(
-                    JoinedSegment(target_id, frontend_id, values)
+                backend.on_http(
+                    HttpLogEntry(
+                        day=day,
+                        measurement_id=fetch.measurement_id,
+                        client_key=key,
+                        rtt_ms=admitted,
+                        used_resource_timing=fetch.used_resource_timing,
+                    )
                 )
-
-        anycast_ok = (
-            np.ones(beacons, dtype=bool) if admit is None else admit[:, 0]
-        )
-        if on_first_rank is None:
-            add_segment(
-                ANYCAST_TARGET, rank_frontends[0], rtts[anycast_ok, 0]
-            )
-        else:
-            for rank_position, mask in ((0, on_first_rank), (1, ~on_first_rank)):
-                add_segment(
-                    ANYCAST_TARGET,
-                    rank_frontends[rank_position],
-                    rtts[mask & anycast_ok, 0],
+                if fetch.target_id == ANYCAST_TARGET:
+                    anycast_rtt = admitted
+                elif best_unicast is None or admitted < best_unicast:
+                    best_unicast = admitted
+            if anycast_rtt is not None and best_unicast is not None:
+                self._request_diffs.observe(
+                    day, client_index, region, anycast_rtt, best_unicast
                 )
-        if admit is None:
-            add_segment(closest, closest, rtts[:, 1])
-        else:
-            add_segment(closest, closest, rtts[admit[:, 1], 1])
-        if picks:
-            pick_rtts = rtts[:, 2:]
-            pick_ok = None if admit is None else admit[:, 2:]
-            for pool_index in picked_pool_indices:
-                target_id = pool[pool_index]
-                selected = pick_indices == pool_index
-                if pick_ok is not None:
-                    selected = selected & pick_ok
-                add_segment(target_id, target_id, pick_rtts[selected])
-        self._backend.on_joined_batch(
-            JoinedBatch(
-                day=day,
-                client_key=key,
-                ldns_id=ldns_id,
-                segments=tuple(segments),
-            )
-        )
 
 
 class _MatrixGroup:
@@ -1526,26 +1398,23 @@ class _MatrixGroup:
 class _MatrixBeaconEngine:
     """Whole-day beacon synthesis: one matrix pipeline across clients.
 
-    The chunked :class:`_VectorizedBeaconEngine` synthesizes one
-    (client, day) block per call — correct, but every client-day pays
-    Python and small-array overhead.  This engine synthesizes a whole
-    day at once: the day loop stages every active client's scalars
-    (volume, route plan, episode adjustments), and :meth:`run_day`
-    expands them into cross-client row chunks of up to
-    ``_MATRIX_CHUNK_ROWS`` sessions that flow through the *same*
-    :func:`_synthesize_rtts` counter-stream path the oracle uses.
+    The day loop stages every active client's scalars (volume, route
+    plan, episode and load adjustments), and :meth:`run_day` expands them
+    into cross-client row chunks of up to ``_MATRIX_CHUNK_ROWS`` sessions
+    that flow through the counter-stream :func:`_synthesize_rtts` path.
 
-    Bit-identity with the oracle holds by construction:
+    The chunk size is invisible in the output — the engine is its own
+    oracle, pinned by a property test over chunk sizes from one span to
+    a whole day:
 
     * every random term is a pure function of (seed, day, client index,
-      row, slot) — batching across clients evaluates the same values at
-      the same coordinates;
-    * every floating-point expression (fixed-component assembly, jitter
-      adds, rounding) is shared code or written in the same operation
-      order;
-    * chunk spans are aligned to the oracle's ``_MAX_BLOCK_BEACONS``
-      block grid, so validation-gate calls see the same block shapes
-      and quarantine the same block-local record coordinates.
+      row, slot), so any batching evaluates the same values at the same
+      coordinates;
+    * every floating-point expression is element-wise, so a row's value
+      does not depend on its chunk neighbours;
+    * chunks hold whole spans of the ``_MAX_BLOCK_BEACONS`` block grid,
+      so validation-gate calls see the same block shapes and quarantine
+      the same block-local record coordinates at any chunk size.
 
     Sinks are day-columnar: one :meth:`RequestDiffLog.observe_columns`
     call per chunk, per-span bulk extends into the grouped aggregates,
@@ -1563,9 +1432,10 @@ class _MatrixBeaconEngine:
         ecs_aggregates: GroupedDailyAggregates,
         ldns_aggregates: GroupedDailyAggregates,
         gate: ValidationGate,
-        clients: Sequence[ClientPrefix],
         regions: Dict[str, str],
         resource_timing: Dict[str, bool],
+        clients: Sequence[ClientPrefix],
+        telemetry: Telemetry,
     ) -> None:
         self._scenario = scenario
         self._paths = paths
@@ -1579,6 +1449,10 @@ class _MatrixBeaconEngine:
         self._layout = _layout_for(beacon_config)
         self._groups: Dict[int, _MatrixGroup] = {}
         self._member: Dict[str, Tuple[_MatrixGroup, int]] = {}
+        self._chunks = telemetry.counter(
+            "engine.matrix.chunks_total",
+            "cross-client row chunks synthesized by the matrix engine",
+        )
 
         # Freeze the member table: per-client invariants land in columns
         # once, so the per-day staging path touches no dictionaries.
@@ -1644,9 +1518,10 @@ class _MatrixBeaconEngine:
 
     def stage_client_day(
         self,
-        client_key: str,
+        client: ClientPrefix,
         plan: DayRoutePlan,
         beacons: int,
+        rng: random.Random,
         anycast_extra_ms: float,
         degraded_frontend: Optional[str],
         unicast_inflation_ms: float,
@@ -1655,16 +1530,14 @@ class _MatrixBeaconEngine:
     ) -> None:
         """Queue one active client-day for the next :meth:`run_day`.
 
-        The scalar assembly here mirrors the oracle's
-        ``run_client_day`` expression-for-expression (same Python-float
-        additions, same adjustment order), which is what keeps the
-        fixed RTT components bit-identical.
+        ``rng`` is unused: every beacon draw here is a counter stream.
         """
         if beacons > ROW_CAP:
             raise ConfigurationError(
                 f"client-day of {beacons} beacons exceeds the "
                 f"{ROW_CAP} row capacity of the counter streams"
             )
+        client_key = client.key
         group, member = self._member[client_key]
         staged_row = len(group.staged_members)
         group.staged_members.append(member)
@@ -1704,14 +1577,16 @@ class _MatrixBeaconEngine:
         if dirty_slots:
             group.staged_dirty[staged_row] = dirty_slots
 
-    def run_day(self, day: int, day_keys: DayKeys) -> int:
-        """Synthesize and sink every staged client-day; returns chunks."""
-        chunks = 0
+    def run_day(self, day: int, day_keys: DayKeys) -> None:
+        """Synthesize and sink every staged client-day."""
         for group in self._groups.values():
             if group.staged_members:
-                chunks += self._run_group_day(day, day_keys, group)
+                self._chunks.inc(self._run_group_day(day, day_keys, group))
                 group.clear_staging()
-        return chunks
+
+    def dns_cache_stats(self) -> Tuple[int, int]:
+        """Always ``(0, 0)``: synthesized fetches resolve no names."""
+        return 0, 0
 
     def _run_group_day(
         self, day: int, day_keys: DayKeys, group: _MatrixGroup
@@ -1727,8 +1602,8 @@ class _MatrixBeaconEngine:
         ldns_slot = group.ldns_slot[members]
 
         # Daily congestion offsets for every staged (client, unicast
-        # path) in one evaluation, then the same offsets-then-episode
-        # adjustment order the oracle applies per client.
+        # path) in one evaluation, then load extras, then episode
+        # degradation — a fixed per-cell addition order.
         unicast_fixed = group.base_unicast[members] + _daily_path_offsets(
             self._latency.config,
             self._layout,
@@ -1741,9 +1616,9 @@ class _MatrixBeaconEngine:
         for staged_row, column, inflation in group.staged_degraded:
             unicast_fixed[staged_row, column] += inflation
 
-        # Expand client-days into oracle-aligned spans: client-day rows
+        # Expand client-days into block-grid spans: client-day rows
         # [k * 4096, (k+1) * 4096) form span k, so the validation gate
-        # sees exactly the oracle's block shapes.
+        # sees the same block shapes at every chunk size.
         n_spans = (
             beacons + (_MAX_BLOCK_BEACONS - 1)
         ) // _MAX_BLOCK_BEACONS
@@ -1823,7 +1698,7 @@ class _MatrixBeaconEngine:
             if group.log_weights is not None
             else None
         )
-        on_first, pick_indices, rtts = _synthesize_rtts(
+        pick_indices, rtts = _synthesize_rtts(
             self._latency.config,
             self._beacon_config,
             self._layout,
@@ -1840,8 +1715,8 @@ class _MatrixBeaconEngine:
         )
 
         # Dirty-record faults, rebased from day-flat slots into chunk
-        # rows — same coordinates, same pre-admission application point
-        # as the per-client engines.
+        # rows — the same b * T + t coordinates the reference engine
+        # counts fetches in, applied before admission.
         has_dirty = False
         if group.staged_dirty:
             for span_index in range(len(span_member)):
@@ -1863,7 +1738,7 @@ class _MatrixBeaconEngine:
 
         # Validation: one all-valid probe for the whole chunk (the
         # overwhelmingly common case), else per-span admit_matrix calls
-        # reproducing the oracle's block-local quarantine coordinates.
+        # with span-local (block-grid) quarantine coordinates.
         admits: Optional[List[Optional[np.ndarray]]] = None
         if has_dirty or not self._gate.admit_bulk_valid(rtts):
             admits = []
@@ -1907,8 +1782,8 @@ class _MatrixBeaconEngine:
     ) -> None:
         """Sink an all-admitted chunk with run-grouped columnar extends.
 
-        Each (day, group, target) still receives exactly the multiset of
-        values the per-client oracle produces; what changes is the call
+        Each (day, group, target) receives exactly the multiset of
+        values the masked path would sink; what changes is the call
         shape — runs found by one argsort per key instead of a boolean
         mask per (client, pool position).  LDNS groups additionally
         coalesce across the clients sharing a resolver, so that sink
@@ -2079,8 +1954,8 @@ class _MatrixBeaconEngine:
         """Sink a chunk with quarantined cells, span by span.
 
         The slow path — it only runs for chunks that actually contain
-        dirty or invalid records, so it keeps the straightforward
-        per-span masking the oracle uses.
+        dirty or invalid records, so it keeps straightforward per-span
+        masking.
         """
         ecs = self._ecs
         ldns_aggregates = self._ldns
@@ -2307,7 +2182,6 @@ class CampaignRunner:
             selector = BeaconTargetSelector(
                 scenario.network.frontends, scenario.geolocation, cfg.beacon
             )
-            runner = BeaconRunner(selector, cfg.beacon)
             paths = _PathCache(scenario, tel)
             workload = scenario.workload_model
             latency = scenario.latency_model
@@ -2384,49 +2258,6 @@ class CampaignRunner:
             )
             passive = PassiveLog(bounded=bounded)
 
-        vectorized: Optional[_VectorizedBeaconEngine] = None
-        matrix: Optional[_MatrixBeaconEngine] = None
-        if engine == "matrix":
-            # The matrix engine writes its columns into the aggregate
-            # sinks directly; the backend only keeps the joined-row
-            # accounting (no observers, scalar or batch).
-            backend = BeaconBackend()
-            chunks_counter = tel.counter(
-                "engine.matrix.chunks_total",
-                "cross-client row chunks synthesized by the matrix engine",
-            )
-        elif engine == "vectorized":
-            def on_joined_batch(batch: JoinedBatch) -> None:
-                for segment in batch.segments:
-                    ecs_aggregates.observe_many(
-                        batch.day, batch.client_key,
-                        segment.target_id, segment.rtts_ms,
-                    )
-                    ldns_aggregates.observe_many(
-                        batch.day, batch.ldns_id,
-                        segment.target_id, segment.rtts_ms,
-                    )
-
-            backend = BeaconBackend(batch_observers=(on_joined_batch,))
-            vectorized = _VectorizedBeaconEngine(
-                scenario, selector, paths, cfg.beacon, backend,
-                request_diffs, gate,
-            )
-            batches_counter = tel.counter(
-                "engine.vectorized.batches_total",
-                "(client, day) blocks synthesized as numpy batches",
-            )
-        else:
-            def on_joined(row: JoinedMeasurement) -> None:
-                ecs_aggregates.observe(
-                    row.day, row.client_key, row.target_id, row.rtt_ms
-                )
-                ldns_aggregates.observe(
-                    row.day, row.ldns_id, row.target_id, row.rtt_ms
-                )
-
-            backend = BeaconBackend([on_joined])
-
         scenario_seed = scenario.config.seed
 
         with tel.span("invariants"):
@@ -2449,22 +2280,21 @@ class CampaignRunner:
                 else:
                     regions[key] = str(region_of_point(client.location))
 
+        # Every engine joins into this backend: the reference engine
+        # through the per-id three-way join, the matrix engine through
+        # bulk joined-row accounting.
+        backend = BeaconBackend()
+        engine_args = (
+            scenario, selector, paths, cfg.beacon, backend, request_diffs,
+            ecs_aggregates, ldns_aggregates, gate, regions, resource_timing,
+        )
         if engine == "matrix":
             with tel.span("matrix-member-table"):
-                matrix = _MatrixBeaconEngine(
-                    scenario,
-                    selector,
-                    paths,
-                    cfg.beacon,
-                    backend,
-                    request_diffs,
-                    ecs_aggregates,
-                    ldns_aggregates,
-                    gate,
-                    clients,
-                    regions,
-                    resource_timing,
+                beacon_engine = _MatrixBeaconEngine(
+                    *engine_args, clients, tel
                 )
+        else:
+            beacon_engine = _ReferenceBeaconEngine(*engine_args)
 
         _log.info(
             "campaign starting",
@@ -2483,399 +2313,132 @@ class CampaignRunner:
             # Transient-exception site: the injected failure surfaces at
             # the start of a seed-derived day, i.e. genuinely mid-run.
             self._fault_injector.on_day(day, calendar.num_days)
-          day_beacons_before = beacon_count
           with tel.span("day", index=day):
+            # Sub-phase times are accumulated with bare perf_counter
+            # reads (not nested spans), then recorded once per day below.
             day_start_time = time.perf_counter()
-            day_keys = DayKeys(scenario_seed, day)
             plans = day_plans[day]
             inflations = day_inflations[day]
             is_weekend = calendar.is_weekend(day)
-            day_start = calendar.seconds_at(day)
+
+            # Workload pass.  Each client's query and beacon volumes are
+            # drawn back to back from its own derived stream, which the
+            # reference engine's per-beacon draws then continue.
+            active = []
+            day_queries = 0
+            for client in clients:
+                key = client.key
+                rng = derive_rng(scenario_seed, "campaign", day, key)
+                queries = workload.daily_queries(client, is_weekend, rng)
+                if load_schedule is not None:
+                    queries = load_schedule.scaled_queries(day, key, queries)
+                if queries <= 0:
+                    continue
+                day_queries += queries
+                beacons = workload.daily_beacons(queries, rng)
+                active.append((client, plans[key], queries, beacons, rng))
+            idle_counter.inc(len(clients) - len(active))
+            client_days_counter.inc(len(active))
+            queries_counter.inc(day_queries)
+            section_now = time.perf_counter()
+            workload_seconds = section_now - day_start_time
+            section_start = section_now
+
+            # Passive pass: production traffic split across the day's
+            # routes (and any load-management landing) with
+            # largest-remainder apportionment, so the recorded counts
+            # sum exactly to the served query volume.  No randomness.
+            day_shed = 0
+            passive_appends = 0
+            for client, plan, queries, _beacons, _rng in active:
+                key = client.key
+                routes, shed = _passive_routes(
+                    paths, key, plan, queries,
+                    load_schedule.landing(day, key)
+                    if load_schedule is not None
+                    else None,
+                )
+                day_shed += shed
+                for frontend_id, count in routes:
+                    admitted_count = gate.admit_count(
+                        day, key, frontend_id, count
+                    )
+                    if admitted_count is not None:
+                        passive.record(day, key, frontend_id, admitted_count)
+                passive_appends += len(routes)
+            passive_counter.inc(passive_appends)
+            section_now = time.perf_counter()
+            passive_seconds = section_now - section_start
+            section_start = section_now
+
+            # Staging pass: the per-client-day beacon terms every engine
+            # shares, then one engine run over the whole day.
             day_unicast_extras = (
                 load_schedule.unicast_extras(day)
                 if load_schedule is not None
                 else None
             )
-            day_shed = 0
-            # Sub-phase times are accumulated with bare perf_counter
-            # reads (not nested spans) to keep per-client overhead off
-            # the hot path, then recorded once per day below.
-            workload_seconds = 0.0
-            passive_seconds = 0.0
-            beacon_seconds = 0.0
-
-            if matrix is not None:
-                # Matrix day: three cross-client passes replace the
-                # per-client section bookkeeping.  Scalar staging stays
-                # in Python (each client's workload draw is its own
-                # derived stream), but phase timers and telemetry
-                # counters are read/bumped once per day, not per client.
-                active = []
-                day_queries = 0
-                idle_days = 0
-                for client in clients:
-                    key = client.key
-                    rng = derive_rng(scenario_seed, "campaign", day, key)
-                    queries = workload.daily_queries(client, is_weekend, rng)
-                    if load_schedule is not None:
-                        queries = load_schedule.scaled_queries(
-                            day, key, queries
-                        )
-                    if queries <= 0:
-                        idle_days += 1
-                        continue
-                    day_queries += queries
-                    # Drawn immediately after the query volume: the
-                    # campaign stream has no draws in between in any
-                    # engine, so beacon counts match per-client runs.
-                    active.append(
-                        (
-                            client,
-                            plans[key],
-                            queries,
-                            workload.daily_beacons(queries, rng),
-                        )
-                    )
-                idle_counter.inc(idle_days)
-                client_days_counter.inc(len(active))
-                queries_counter.inc(day_queries)
-                section_now = time.perf_counter()
-                workload_seconds = section_now - day_start_time
-                section_start = section_now
-
-                passive_appends = 0
-                if load_schedule is None:
-                    for client, plan, queries, _beacons in active:
-                        key = client.key
-                        for rank, count in zip(
-                            plan.ranks,
-                            largest_remainder_apportion(
-                                queries, plan.fractions
-                            ),
-                        ):
-                            frontend_id = paths.anycast(key, rank)[0]
-                            admitted_count = gate.admit_count(
-                                day, key, frontend_id, count
-                            )
-                            if admitted_count is not None:
-                                passive.record(
-                                    day, key, frontend_id, admitted_count
-                                )
-                        passive_appends += len(plan.ranks)
-                else:
-                    for client, plan, queries, _beacons in active:
-                        key = client.key
-                        routes, shed = _passive_routes(
-                            paths, key, plan, queries,
-                            load_schedule.landing(day, key),
-                        )
-                        day_shed += shed
-                        for frontend_id, count in routes:
-                            admitted_count = gate.admit_count(
-                                day, key, frontend_id, count
-                            )
-                            if admitted_count is not None:
-                                passive.record(
-                                    day, key, frontend_id, admitted_count
-                                )
-                        passive_appends += len(routes)
-                passive_counter.inc(passive_appends)
-                section_now = time.perf_counter()
-                passive_seconds = section_now - section_start
-                section_start = section_now
-
-                day_beacons = 0
-                for client, plan, _queries, beacons in active:
-                    if beacons <= 0:
-                        continue
-                    key = client.key
-                    beacons_hist.observe(beacons)
-                    day_beacons += beacons
-                    effect = inflations.get(key)
-                    anycast_inflation = 0.0
-                    degraded_frontend = None
-                    unicast_inflation = 0.0
-                    if effect is not None:
-                        if effect.scope is EpisodeScope.ANYCAST:
-                            anycast_inflation = effect.inflation_ms
-                        else:
-                            candidates = selector.candidates(client.ldns_id)
-                            degraded_frontend = candidates[
-                                int(effect.selector * len(candidates))
-                            ]
-                            unicast_inflation = effect.inflation_ms
-                    # Same shared per-(day, client) anycast stream as
-                    # the other engines (see the per-client loop below).
-                    anycast_offset = latency.sample_daily_variation_ms(
-                        derive_rng(
-                            scenario_seed, "daily-variation", day, key,
-                            ANYCAST_TARGET,
-                        ),
-                        anycast=True,
-                    )
-                    anycast_extra = anycast_inflation + anycast_offset
-                    if load_schedule is not None:
-                        anycast_extra += load_schedule.anycast_extra(
-                            day, key
-                        )
-                    dirty_slots = None
-                    if record_faults is not None:
-                        n_targets = 2 + min(
-                            cfg.beacon.random_picks,
-                            len(selector.pick_pool(client.ldns_id)),
-                        )
-                        dirty_slots = record_faults.slots_for(
-                            day,
-                            scenario.client_index(key),
-                            beacons * n_targets,
-                        )
-                    matrix.stage_client_day(
-                        key,
-                        plan,
-                        beacons,
-                        anycast_extra,
-                        degraded_frontend,
-                        unicast_inflation,
-                        dirty_slots,
-                        load_extras=day_unicast_extras,
-                    )
-                chunks_counter.inc(matrix.run_day(day, day_keys))
-                beacons_counter.inc(day_beacons)
-                beacon_count += day_beacons
-                beacon_seconds = time.perf_counter() - section_start
-            else:
-                for client in clients:
-                    section_start = time.perf_counter()
-                    key = client.key
-                    # Everything this client does today draws from its own
-                    # derived stream — independent of every other client.
-                    rng = derive_rng(scenario_seed, "campaign", day, key)
-                    plan = plans[key]
-                    effect = inflations.get(key)
-                    anycast_inflation = 0.0
-                    degraded_frontend: Optional[str] = None
-                    unicast_inflation = 0.0
-                    if effect is not None:
-                        if effect.scope is EpisodeScope.ANYCAST:
-                            anycast_inflation = effect.inflation_ms
-                        else:
-                            candidates = selector.candidates(client.ldns_id)
-                            degraded_frontend = candidates[
-                                int(effect.selector * len(candidates))
-                            ]
-                            unicast_inflation = effect.inflation_ms
-
-                    queries = workload.daily_queries(client, is_weekend, rng)
-                    if load_schedule is not None:
-                        queries = load_schedule.scaled_queries(
-                            day, key, queries
-                        )
-                    if queries <= 0:
-                        idle_counter.inc()
-                        workload_seconds += time.perf_counter() - section_start
-                        continue
-                    client_days_counter.inc()
-                    queries_counter.inc(queries)
-                    section_now = time.perf_counter()
-                    workload_seconds += section_now - section_start
-                    section_start = section_now
-
-                    # Passive production traffic: split across the day's
-                    # routes with largest-remainder apportionment, so the
-                    # recorded counts sum exactly to the day's query volume.
-                    if load_schedule is None:
-                        rank_frontends = tuple(
-                            paths.anycast(key, rank)[0] for rank in plan.ranks
-                        )
-                        for frontend_id, count in zip(
-                            rank_frontends,
-                            largest_remainder_apportion(
-                                queries, plan.fractions
-                            ),
-                        ):
-                            admitted_count = gate.admit_count(
-                                day, key, frontend_id, count
-                            )
-                            if admitted_count is not None:
-                                passive.record(
-                                    day, key, frontend_id, admitted_count
-                                )
-                        passive_counter.inc(len(rank_frontends))
+            day_beacons = 0
+            for client, plan, _queries, beacons, rng in active:
+                if beacons <= 0:
+                    continue
+                key = client.key
+                beacons_hist.observe(beacons)
+                day_beacons += beacons
+                effect = inflations.get(key)
+                anycast_inflation = 0.0
+                degraded_frontend: Optional[str] = None
+                unicast_inflation = 0.0
+                if effect is not None:
+                    if effect.scope is EpisodeScope.ANYCAST:
+                        anycast_inflation = effect.inflation_ms
                     else:
-                        routes, shed = _passive_routes(
-                            paths, key, plan, queries,
-                            load_schedule.landing(day, key),
-                        )
-                        day_shed += shed
-                        for frontend_id, count in routes:
-                            admitted_count = gate.admit_count(
-                                day, key, frontend_id, count
-                            )
-                            if admitted_count is not None:
-                                passive.record(
-                                    day, key, frontend_id, admitted_count
-                                )
-                        passive_counter.inc(len(routes))
-
-                    beacons = workload.daily_beacons(queries, rng)
-                    section_now = time.perf_counter()
-                    passive_seconds += section_now - section_start
-                    section_start = section_now
-                    if beacons <= 0:
-                        continue
-                    beacons_counter.inc(beacons)
-                    beacons_hist.observe(beacons)
-                    client_index = scenario.client_index(key)
-                    region = regions[key]
-                    rt_supported = resource_timing[key]
-
-                    # The anycast path's daily congestion offset lives on a
-                    # shared per-(day, client) derived stream: every engine
-                    # realizes the same anycast elevation days, keeping the
-                    # per-client anycast distributions comparable across
-                    # engines.  (Unicast path offsets are engine-stream
-                    # terms — counter-based in the batched engines.)
-                    anycast_offset = latency.sample_daily_variation_ms(
-                        derive_rng(
-                            scenario_seed, "daily-variation", day, key,
-                            ANYCAST_TARGET,
-                        ),
-                        anycast=True,
+                        candidates = selector.candidates(client.ldns_id)
+                        degraded_frontend = candidates[
+                            int(effect.selector * len(candidates))
+                        ]
+                        unicast_inflation = effect.inflation_ms
+                # The anycast path's daily congestion offset lives on a
+                # shared per-(day, client) derived stream, so both
+                # engines realize the same anycast elevation days.
+                anycast_offset = latency.sample_daily_variation_ms(
+                    derive_rng(
+                        scenario_seed, "daily-variation", day, key,
+                        ANYCAST_TARGET,
+                    ),
+                    anycast=True,
+                )
+                anycast_extra = anycast_inflation + anycast_offset
+                if load_schedule is not None:
+                    anycast_extra += load_schedule.anycast_extra(day, key)
+                # Record faults for this (day, client) cell, as flat
+                # session * T + position slots over the client's
+                # constant target count T.
+                dirty_slots: Optional[Dict[int, FaultKind]] = None
+                if record_faults is not None:
+                    n_targets = 2 + min(
+                        cfg.beacon.random_picks,
+                        len(selector.pick_pool(client.ldns_id)),
                     )
-                    anycast_extra = anycast_inflation + anycast_offset
-                    if load_schedule is not None:
-                        anycast_extra += load_schedule.anycast_extra(
-                            day, key
-                        )
+                    dirty_slots = record_faults.slots_for(
+                        day, scenario.client_index(key), beacons * n_targets
+                    )
+                beacon_engine.stage_client_day(
+                    client,
+                    plan,
+                    beacons,
+                    rng,
+                    anycast_extra,
+                    degraded_frontend,
+                    unicast_inflation,
+                    dirty_slots,
+                    day_unicast_extras,
+                )
+            beacon_engine.run_day(day, DayKeys(scenario_seed, day))
+            beacons_counter.inc(day_beacons)
+            beacon_count += day_beacons
+            beacon_seconds = time.perf_counter() - section_start
 
-                    # Record faults for this (day, client) cell, as flat
-                    # session * T + position slots.  The target count T is a
-                    # per-client constant shared by both engines, so the
-                    # slot map is engine- and shard-independent.
-                    dirty_slots: Optional[Dict[int, FaultKind]] = None
-                    if record_faults is not None:
-                        n_targets = 2 + min(
-                            cfg.beacon.random_picks,
-                            len(selector.pick_pool(client.ldns_id)),
-                        )
-                        dirty_slots = record_faults.slots_for(
-                            day, client_index, beacons * n_targets
-                        )
-
-                    if vectorized is not None:
-                        vectorized.run_client_day(
-                            day=day,
-                            day_keys=day_keys,
-                            client=client,
-                            client_index=client_index,
-                            region=region,
-                            resource_timing_supported=rt_supported,
-                            plan=plan,
-                            beacons=beacons,
-                            anycast_extra_ms=anycast_extra,
-                            degraded_frontend=degraded_frontend,
-                            unicast_inflation_ms=unicast_inflation,
-                            dirty_slots=dirty_slots,
-                            load_extras=day_unicast_extras,
-                        )
-                        beacon_count += beacons
-                        batches_counter.inc()
-                        beacon_seconds += time.perf_counter() - section_start
-                        continue
-
-                    unicast_offsets: Dict[str, float] = {}
-                    session_rank_cell = [plan.ranks[0]]
-
-                    def serve(target_id: str) -> Tuple[str, float]:
-                        if target_id == ANYCAST_TARGET:
-                            frontend_id, baseline = paths.anycast(
-                                key, session_rank_cell[0]
-                            )
-                            extra = anycast_extra
-                        else:
-                            frontend_id = target_id
-                            baseline = paths.unicast(key, target_id)
-                            offset = unicast_offsets.get(target_id)
-                            if offset is None:
-                                offset = latency.sample_daily_variation_ms(
-                                    derive_rng(
-                                        scenario_seed, "daily-variation", day,
-                                        key, target_id,
-                                    ),
-                                    anycast=False,
-                                )
-                                unicast_offsets[target_id] = offset
-                            extra = offset
-                            if day_unicast_extras:
-                                extra += day_unicast_extras.get(
-                                    target_id, 0.0
-                                )
-                            if target_id == degraded_frontend:
-                                extra += unicast_inflation
-                        rtt = (
-                            baseline
-                            + latency.sample_jitter_ms(rng)
-                            + extra
-                        )
-                        return frontend_id, rtt
-
-                    record_index = 0
-                    for _ in range(beacons):
-                        session_rank_cell[0] = plan.sample_rank(rng)
-
-                        fetches = runner.run_beacon(
-                            ldns_id=client.ldns_id,
-                            resource_timing_supported=rt_supported,
-                            serve=serve,
-                            rng=rng,
-                            now=day_start,
-                        )
-                        beacon_count += 1
-
-                        anycast_rtt: Optional[float] = None
-                        best_unicast: Optional[float] = None
-                        for fetch in fetches:
-                            rtt_ms = fetch.rtt_ms
-                            if dirty_slots:
-                                kind = dirty_slots.get(record_index)
-                                if kind is not None:
-                                    rtt_ms = RecordFaultInjector.dirty_value(
-                                        kind, rtt_ms
-                                    )
-                            admitted = gate.admit(day, key, record_index, rtt_ms)
-                            record_index += 1
-                            if admitted is None:
-                                # Quarantined: the record never reaches any
-                                # log stream, so it cannot join.
-                                continue
-                            backend.on_dns(
-                                fetch.measurement_id, client.ldns_id, fetch.target_id
-                            )
-                            backend.on_server(
-                                fetch.measurement_id, fetch.serving_frontend_id
-                            )
-                            backend.on_http(
-                                HttpLogEntry(
-                                    day=day,
-                                    measurement_id=fetch.measurement_id,
-                                    client_key=key,
-                                    rtt_ms=admitted,
-                                    used_resource_timing=fetch.used_resource_timing,
-                                )
-                            )
-                            if fetch.target_id == ANYCAST_TARGET:
-                                anycast_rtt = admitted
-                            elif best_unicast is None or admitted < best_unicast:
-                                best_unicast = admitted
-
-                        if anycast_rtt is not None and best_unicast is not None:
-                            request_diffs.observe(
-                                day, client_index, region, anycast_rtt, best_unicast
-                            )
-
-                    beacon_seconds += time.perf_counter() - section_start
-
-            runner.purge_caches(calendar.seconds_at(day) + 86_400.0)
             day_elapsed = time.perf_counter() - day_start_time
             day_hist.observe(day_elapsed)
             tel.spans.record_seconds("campaign/day/workload", workload_seconds)
@@ -2893,7 +2456,7 @@ class CampaignRunner:
               "engine",
               index=day,
               engine=engine,
-              beacons=beacon_count - day_beacons_before,
+              beacons=day_beacons,
           )
           if load_schedule is not None:
             # Shed counts are integers apportioned per client, so each
@@ -2936,7 +2499,7 @@ class CampaignRunner:
             tel.gauge(
                 "campaign.days", "calendar days simulated"
             ).set(calendar.num_days)
-            dns_hits, dns_misses = runner.cache_stats()
+            dns_hits, dns_misses = beacon_engine.dns_cache_stats()
             tel.counter(
                 "dns.cache.hits_total",
                 "LDNS resolver-cache hits during beacon fetches",

@@ -1,19 +1,18 @@
 """Counter-based random streams for the whole-day matrix engine.
 
-The chunked vectorized engine draws from one sequential PCG64 generator
-per (seed, day, client): correctness is easy, but a cross-client matrix
-engine would have to replay every client's stream in order, which caps
-throughput at the sequential-draw floor.  This module replaces sequential
-consumption with *counter-based* streams: every random value used by a
-beacon synthesis is a pure function of
+A sequential generator per (seed, day, client) would force a
+cross-client matrix engine to replay every client's stream in order,
+which caps throughput at the sequential-draw floor.  This module uses
+*counter-based* streams instead: every random value used by a beacon
+synthesis is a pure function of
 
     (campaign seed, day, client index, beacon row, slot)
 
-hashed through a splitmix64-style finalizer.  Any engine — per-client
-oracle or whole-day matrix — evaluates the same function at the same
-coordinates and obtains bit-identical values, in any batching order, over
-any subset of positions.  That is what keeps ``serial == sharded ==
-matrix`` digests exact without ever sharing generator state.
+hashed through a splitmix64-style finalizer.  Any batching — one span
+per chunk or a whole day — evaluates the same function at the same
+coordinates and obtains bit-identical values, in any order, over any
+subset of positions.  That is what keeps ``serial == sharded`` digests
+exact at every chunk size without ever sharing generator state.
 
 Only the *beacon RTT synthesis* terms live here (rank selection, Gumbel
 target picks, jitter/spike/overhead noise, per-day path variation).  The
@@ -150,17 +149,12 @@ class BeaconSlotLayout:
 
         ``rows`` are *absolute* per-day beacon indices, so chunking a
         client-day at any boundary leaves every coordinate unchanged.
-        ``client_index`` may be a scalar (one client's rows — the
-        chunked oracle) or a per-row array (a cross-client chunk — the
-        matrix engine); the coordinates are identical either way.
+        ``client_index`` may be a scalar (one client's rows) or a
+        per-row array (a cross-client chunk); the coordinates are
+        identical either way.
         """
         base = np.asarray(client_index, dtype=np.uint64) * np.uint64(ROW_CAP)
         return (base + rows.astype(np.uint64)) * np.uint64(self.stride)
-
-    def path_gids(self, client_index: int, path_slots: np.ndarray) -> np.ndarray:
-        """Daily-variation coordinate bases for (client, path slot)."""
-        base = np.uint64(client_index) * np.uint64(self.path_stride)
-        return base + np.asarray(path_slots, dtype=np.uint64) * np.uint64(3)
 
 
 class DayKeys:

@@ -12,8 +12,8 @@ Correctness rests on two properties established elsewhere:
 * every random draw in :class:`repro.simulation.campaign.CampaignRunner`
   comes from an RNG derived per ``(client, day)`` (or finer), so a
   client's measurements do not depend on which shard runs it — this
-  holds for both measurement engines (the vectorized engine derives its
-  ``numpy.random.Generator`` per (client, day) the same way), so the
+  holds for both measurement engines (the matrix engine's counter
+  streams are keyed by (day, client index) the same way), so the
   ``engine`` setting composes freely with ``workers``;
 * all dataset sinks are mergeable, and
   :meth:`repro.simulation.dataset.StudyDataset.digest` is canonical, so

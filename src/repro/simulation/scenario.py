@@ -58,14 +58,11 @@ class ScenarioConfig:
     #: population across processes (see repro.simulation.parallel).
     workers: int = 1
     #: Default measurement engine for campaigns over this scenario:
-    #: ``"reference"`` (scalar, one draw per sample — the oracle),
-    #: ``"vectorized"`` (numpy-batched per (client, day) block, several
-    #: times faster), or ``"matrix"`` (whole-day cross-client batches,
-    #: fastest).  All are deterministic per seed and bit-identical
-    #: across worker counts; ``"vectorized"`` and ``"matrix"`` share
-    #: counter-based draw streams and produce bit-identical datasets to
-    #: each other, while ``"reference"`` consumes randomness differently
-    #: and matches only within itself.
+    #: ``"reference"`` (scalar, one draw per sample) or ``"matrix"``
+    #: (whole-day cross-client batches, many times faster).  Both are
+    #: deterministic per seed and bit-identical across worker counts;
+    #: they draw beacon terms from different streams, so each matches
+    #: only within itself.
     engine: str = "reference"
 
     def __post_init__(self) -> None:
@@ -75,10 +72,10 @@ class ScenarioConfig:
             )
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.engine not in ("reference", "vectorized", "matrix"):
+        if self.engine not in ("reference", "matrix"):
             raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected 'reference', "
-                "'vectorized', or 'matrix'"
+                f"unknown engine {self.engine!r}; expected 'reference' "
+                "or 'matrix'"
             )
 
     @classmethod

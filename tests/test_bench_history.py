@@ -31,7 +31,7 @@ def make_record(
     rate: float = 1000.0,
     phases=None,
     label: str = "bench",
-    engine: str = "vectorized",
+    engine: str = "matrix",
     host: str = "host-a",
     config_hash: str = "cfg",
 ) -> PerfRecord:
@@ -60,14 +60,14 @@ def test_record_from_campaign_snapshot():
             calendar=SimulationCalendar(num_days=1),
         )
     )
-    runner = CampaignRunner(scenario, CampaignConfig(engine="vectorized"))
+    runner = CampaignRunner(scenario, CampaignConfig(engine="matrix"))
     dataset = runner.run()
     snapshot = runner.telemetry.snapshot()
 
     record = record_from_snapshot(snapshot, "unit", dataset=dataset)
 
     assert record.label == "unit"
-    assert record.engine == "vectorized"
+    assert record.engine == "matrix"
     assert record.host == host_fingerprint()
     assert record.wall_seconds > 0
     assert record.beacons_per_second > 0

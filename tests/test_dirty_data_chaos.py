@@ -4,7 +4,7 @@ The tentpole invariant: under the ``lenient`` policy, a campaign run
 against a ``record-*`` fault plan produces exactly the clean dataset
 minus the quarantined records — and the dirty digest plus the
 quarantine accounting are bit-identical across serial, sharded,
-reference, and vectorized runs (within each engine's digest family).
+reference, and matrix runs (within each engine's digest family).
 """
 
 import json
@@ -47,7 +47,7 @@ def dirty_scenario() -> Scenario:
 @pytest.fixture(scope="module")
 def clean_run(dirty_scenario):
     runner = CampaignRunner(
-        dirty_scenario, CampaignConfig(engine="vectorized")
+        dirty_scenario, CampaignConfig(engine="matrix")
     )
     dataset = runner.run()
     assert runner.quarantine.total == 0  # clean data never quarantines
@@ -59,7 +59,7 @@ def dirty_run(dirty_scenario):
     runner = CampaignRunner(
         dirty_scenario,
         CampaignConfig(
-            engine="vectorized",
+            engine="matrix",
             fault_plan=FaultPlan.from_spec(DIRTY_SPEC),
             validation="lenient",
         ),
@@ -141,7 +141,7 @@ class TestQuarantineIdentity:
         sharded = ParallelCampaignRunner(
             dirty_scenario,
             CampaignConfig(
-                engine="vectorized",
+                engine="matrix",
                 fault_plan=FaultPlan.from_spec(DIRTY_SPEC),
                 validation="lenient",
             ),
@@ -155,7 +155,7 @@ class TestQuarantineIdentity:
     def test_engines_quarantine_the_same_records(
         self, dirty_scenario, dirty_run
     ):
-        vec_runner, _ = dirty_run
+        matrix_runner, _ = dirty_run
         ref_runner = CampaignRunner(
             dirty_scenario,
             CampaignConfig(
@@ -168,13 +168,13 @@ class TestQuarantineIdentity:
         # The engines draw different RTT values, so the quarantined
         # *values* differ — but the schedule, coordinates, and reasons
         # are engine-invariant.
-        assert ref_runner.quarantine.counts == vec_runner.quarantine.counts
+        assert ref_runner.quarantine.counts == matrix_runner.quarantine.counts
         assert [
             (s.day, s.client_key, s.record_index, s.reason)
             for s in ref_runner.quarantine.samples
         ] == [
             (s.day, s.client_key, s.record_index, s.reason)
-            for s in vec_runner.quarantine.samples
+            for s in matrix_runner.quarantine.samples
         ]
 
     def test_telemetry_counters_published(self, dirty_run):
@@ -197,7 +197,7 @@ class TestPolicies:
         runner = CampaignRunner(
             dirty_scenario,
             CampaignConfig(
-                engine="vectorized",
+                engine="matrix",
                 fault_plan=FaultPlan.from_spec("record-corrupt:2"),
                 validation="strict",
             ),
@@ -209,7 +209,7 @@ class TestPolicies:
         runner = ParallelCampaignRunner(
             dirty_scenario,
             CampaignConfig(
-                engine="vectorized",
+                engine="matrix",
                 fault_plan=FaultPlan.from_spec("record-corrupt:2"),
                 validation="strict",
                 max_retries=3,
@@ -226,7 +226,7 @@ class TestPolicies:
         runner = CampaignRunner(
             dirty_scenario,
             CampaignConfig(
-                engine="vectorized",
+                engine="matrix",
                 fault_plan=FaultPlan.from_spec("record-clock-skew:3"),
                 validation="repair",
             ),
@@ -237,7 +237,7 @@ class TestPolicies:
         assert quarantine.repaired > 0
         assert quarantine.dropped == 0
         clean = CampaignRunner(
-            dirty_scenario, CampaignConfig(engine="vectorized")
+            dirty_scenario, CampaignConfig(engine="matrix")
         ).run()
         assert dataset.measurement_count == clean.measurement_count
 
@@ -253,7 +253,7 @@ class TestCheckpointQuarantineResume:
         serial_runner, serial_dataset = dirty_run
         checkpoint_dir = str(tmp_path / "ckpt")
         dirty_config = CampaignConfig(
-            engine="vectorized",
+            engine="matrix",
             fault_plan=FaultPlan.from_spec(DIRTY_SPEC),
             validation="lenient",
             checkpoint_dir=checkpoint_dir,
@@ -279,7 +279,7 @@ class TestCheckpointQuarantineResume:
         resumed = ParallelCampaignRunner(
             dirty_scenario,
             CampaignConfig(
-                engine="vectorized",
+                engine="matrix",
                 fault_plan=FaultPlan.from_spec(DIRTY_SPEC),
                 validation="lenient",
                 checkpoint_dir=checkpoint_dir,
@@ -298,7 +298,7 @@ class TestCheckpointQuarantineResume:
     ):
         checkpoint_dir = str(tmp_path / "ckpt")
         base = dict(
-            engine="vectorized",
+            engine="matrix",
             fault_plan=FaultPlan.from_spec("record-clock-skew:3"),
             checkpoint_dir=checkpoint_dir,
         )
@@ -349,7 +349,7 @@ class TestCliValidationFlags:
             [
                 "run", dataset_path,
                 "--prefixes", "20", "--days", "1", "--seed", "47",
-                "--engine", "vectorized",
+                "--engine", "matrix",
                 "--fault-plan", "record-corrupt:2",
                 "--quarantine-out", quarantine_path,
             ]

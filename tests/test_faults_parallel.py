@@ -409,7 +409,7 @@ class TestEngineDifferential:
             "shard.failures_total",
         )
         results = {}
-        for engine in ("reference", "vectorized"):
+        for engine in ("reference", "matrix"):
             clean = ParallelCampaignRunner(
                 chaos_scenario, CampaignConfig(engine=engine), workers=2
             ).run()
@@ -431,7 +431,7 @@ class TestEngineDifferential:
                     if name.startswith("faults.injected.")
                 },
             )
-        assert results["reference"] == results["vectorized"]
+        assert results["reference"] == results["matrix"]
         fired = results["reference"][0]
         assert sorted(kind for _, _, kind in fired) == [
             "crash", "exception", "merge",

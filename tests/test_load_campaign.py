@@ -53,7 +53,7 @@ def load_scenario() -> Scenario:
 
 
 def _campaign(policy: str, **overrides) -> CampaignConfig:
-    overrides.setdefault("engine", "vectorized")
+    overrides.setdefault("engine", "matrix")
     return CampaignConfig(
         frontend_capacity=HEADROOM,
         overload_plan=OverloadPlan.from_spec(FLASH_PLAN),
@@ -158,7 +158,7 @@ class TestChaosHeadline:
 
 
 class TestShardAndEngineParity:
-    @pytest.mark.parametrize("engine", ["reference", "vectorized", "matrix"])
+    @pytest.mark.parametrize("engine", ["reference", "matrix"])
     @pytest.mark.parametrize("policy", ["withdraw", "fastroute"])
     def test_serial_matches_four_shards(self, load_scenario, engine, policy):
         """Digest, quarantine, and trace parity — serial vs 4 shards.
@@ -187,21 +187,10 @@ class TestShardAndEngineParity:
         assert serial_trace is not None and sharded_trace is not None
         assert sharded_trace.digest() == serial_trace.digest()
 
-    def test_vectorized_and_matrix_bit_identical(self, load_scenario):
-        digests = {
-            engine: CampaignRunner(
-                load_scenario, _campaign("fastroute", engine=engine)
-            )
-            .run()
-            .digest()
-            for engine in ("vectorized", "matrix")
-        }
-        assert digests["vectorized"] == digests["matrix"]
-
     def test_capacity_off_unaffected(self, load_scenario):
         """The load machinery is fully gated: off == the historical path."""
         plain = CampaignRunner(
-            load_scenario, CampaignConfig(engine="vectorized")
+            load_scenario, CampaignConfig(engine="matrix")
         ).run()
         assert plain.load_summary is None
         with pytest.raises(AnalysisError, match="frontend-capacity"):

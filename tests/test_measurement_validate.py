@@ -3,7 +3,7 @@
 The hardened data plane's contract: every ingestion boundary applies one
 schema (``classify_rtt``) under one of three policies, every rejection
 lands in a mergeable :class:`QuarantineLog` with exact per-reason
-counts, and the scalar and vectorized admission paths quarantine the
+counts, and the scalar and matrix admission paths quarantine the
 same record coordinates so engines agree bit-for-bit on the accounting.
 """
 

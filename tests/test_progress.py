@@ -36,7 +36,7 @@ def _scenario() -> Scenario:
             seed=5,
             population=ClientPopulationConfig(prefix_count=40),
             calendar=SimulationCalendar(num_days=DAYS),
-            engine="vectorized",
+            engine="matrix",
         )
     )
 

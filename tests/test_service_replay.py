@@ -49,7 +49,7 @@ from tests.helpers import make_client, make_dataset
 
 pytestmark = pytest.mark.service
 
-ENGINES = ("reference", "vectorized", "matrix")
+ENGINES = ("reference", "matrix")
 
 SKETCH_THRESHOLD = 16
 SKETCH_ACCURACY = 0.01

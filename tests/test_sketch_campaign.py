@@ -27,7 +27,7 @@ from repro.simulation.scenario import Scenario, ScenarioConfig
 
 #: Sketch config whose bucket cap genuinely binds on the smoke scenario
 #: (the parity claims below are vacuous if no sketch ever compresses).
-CAPPED = dict(engine="vectorized", sketch_threshold=4, sketch_max_buckets=8)
+CAPPED = dict(engine="matrix", sketch_threshold=4, sketch_max_buckets=8)
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ class TestChunkedEngine:
 
     def test_chunked_run_is_shard_invariant(self, heavy_scenario):
         config = CampaignConfig(
-            engine="vectorized", sketch_threshold=32, sketch_max_buckets=64
+            engine="matrix", sketch_threshold=32, sketch_max_buckets=64
         )
         serial = CampaignRunner(heavy_scenario, config).run()
         # With 2 client-days, a total beyond 2 blocks means at least one
@@ -159,13 +159,13 @@ class TestFigureTolerance:
     @pytest.fixture(scope="class")
     def figure_datasets(self, sketch_scenario):
         exact = CampaignRunner(
-            sketch_scenario, CampaignConfig(engine="vectorized")
+            sketch_scenario, CampaignConfig(engine="matrix")
         ).run()
         # Production accuracy: 1% sketches, default cap — the config the
         # README documents for large campaigns.
         sketched = CampaignRunner(
             sketch_scenario,
-            CampaignConfig(engine="vectorized", sketch_threshold=32),
+            CampaignConfig(engine="matrix", sketch_threshold=32),
         ).run()
         return exact, sketched
 

@@ -151,7 +151,13 @@ def test_bounded_diff_log():
     log = RequestDiffLog(bounded=True)
     assert log.is_bounded
     log.observe(0, 1, "europe", 30.0, 25.0)
-    log.observe_many(0, 2, "europe", [40.0, 50.0], [45.0, 20.0])
+    log.observe_columns(
+        0,
+        np.array([2, 2]),
+        np.full(2, log.region_code("europe")),
+        np.array([40.0, 50.0]),
+        np.array([45.0, 20.0]),
+    )
     log.observe(1, 3, "asia", 90.0, 10.0)
     assert len(log) == 4
     with pytest.raises(MeasurementError):
@@ -235,7 +241,7 @@ def test_bounded_passive_log_merge():
 @pytest.fixture(scope="module")
 def bounded_dataset(small_scenario):
     config = CampaignConfig(
-        engine="vectorized", sketch_threshold=16, sketch_max_buckets=64
+        engine="matrix", sketch_threshold=16, sketch_max_buckets=64
     )
     return CampaignRunner(small_scenario, config).run()
 

@@ -196,7 +196,7 @@ class TestStructuredLogging:
     def test_json_lines_carry_run_context(self):
         stream = self._capture(
             context=RunContext(
-                seed=11, engine="vectorized", workers=4, config_hash="abcd"
+                seed=11, engine="matrix", workers=4, config_hash="abcd"
             )
         )
         get_logger("campaign").info("day complete", extra={"day": 3})
@@ -205,7 +205,7 @@ class TestStructuredLogging:
         assert line["logger"] == "repro.campaign"
         assert line["level"] == "info"
         assert line["seed"] == 11
-        assert line["engine"] == "vectorized"
+        assert line["engine"] == "matrix"
         assert line["workers"] == 4
         assert line["config_hash"] == "abcd"
         assert line["day"] == 3

@@ -270,18 +270,18 @@ def _scenario() -> Scenario:
             seed=11,
             population=ClientPopulationConfig(prefix_count=48),
             calendar=SimulationCalendar(num_days=2),
-            engine="vectorized",
+            engine="matrix",
         )
     )
 
 
 def test_serial_and_sharded_trace_digests_match():
-    serial = CampaignRunner(_scenario(), CampaignConfig(engine="vectorized"))
+    serial = CampaignRunner(_scenario(), CampaignConfig(engine="matrix"))
     serial.run()
     serial_trace = serial.telemetry.snapshot().trace
 
     sharded = ParallelCampaignRunner(
-        _scenario(), CampaignConfig(engine="vectorized"), workers=4
+        _scenario(), CampaignConfig(engine="matrix"), workers=4
     )
     sharded.run()
     sharded_trace = sharded.telemetry.snapshot().trace
@@ -295,7 +295,7 @@ def test_chaos_run_traces_fault_retry_and_success():
     runner = ParallelCampaignRunner(
         _scenario(),
         CampaignConfig(
-            engine="vectorized",
+            engine="matrix",
             fault_plan=FaultPlan.from_spec("exception:1"),
             max_retries=3,
             retry_backoff_seconds=0.0,

@@ -1,37 +1,52 @@
-"""The vectorized measurement engine and its bulk sink APIs.
+"""The measurement engines and their bulk sink APIs.
 
-Two contracts under test:
+Three contracts under test:
 
-* **Determinism within the engine** — a vectorized run is a pure function
-  of the seed, and serial ≡ sharded ≡ parallel bit-for-bit (same
-  :meth:`StudyDataset.digest`), exactly like the reference engine.
-* **Statistical equivalence across engines** — the two engines consume
-  different random streams, so their datasets differ bit-for-bit, but
-  they share the workload draws (query/beacon volumes, passive traffic)
-  and sample the same distributions, so the paper's headline statistics
-  (Fig 3 penalty fractions, Fig 5 poor-path prevalence) and the pooled
-  RTT distributions must agree within tolerance.
+* **Determinism within an engine** — a run is a pure function of the
+  seed, and serial ≡ sharded ≡ parallel bit-for-bit (same
+  :meth:`StudyDataset.digest`).
+* **Chunk invariance** — the matrix engine is its own oracle: any
+  ``_MATRIX_CHUNK_ROWS``, from one block-grid span per chunk to a whole
+  day, yields the same dataset and quarantine digests.
+* **Statistical equivalence across engines** — the reference and matrix
+  engines draw beacon terms from different streams, so their datasets
+  differ bit-for-bit, but they share the workload draws (query/beacon
+  volumes, passive traffic) and sample the same distributions, so the
+  paper's headline statistics (Fig 3 penalty fractions, Fig 5 poor-path
+  prevalence) and the pooled RTT distributions must agree within
+  tolerance.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.cli import build_parser
+from repro.clients.workload import WorkloadConfig
 from repro.dns.authoritative import ANYCAST_TARGET
-from repro.errors import AnalysisError, ConfigurationError, MeasurementError
+from repro.errors import AnalysisError, ConfigurationError
 from repro.analysis.anycast_perf import anycast_penalty_ccdf
 from repro.analysis.poor_paths import poor_path_prevalence
 from repro.clients.population import ClientPopulationConfig
-from repro.latency.model import LatencyConfig, LatencyModel
+from repro.faults import FaultPlan
 from repro.latency.sampling import percentile
 from repro.measurement.aggregate import (
     GroupedDailyAggregates,
     LatencyDigest,
     RequestDiffLog,
 )
-from repro.measurement.backend import BeaconBackend, JoinedBatch, JoinedSegment
-from repro.measurement.beacon import BeaconConfig, BeaconTargetSelector
-from repro.simulation.campaign import CampaignConfig, CampaignRunner
+from repro.measurement.validate import QuarantineLog
+from repro.simulation import campaign
+from repro.simulation.campaign import (
+    _MAX_BLOCK_BEACONS,
+    CampaignConfig,
+    CampaignRunner,
+)
 from repro.simulation.clock import SimulationCalendar
+from repro.simulation.episodes import OverloadPlan
 from repro.simulation.parallel import ParallelCampaignRunner
 from repro.simulation.scenario import Scenario, ScenarioConfig
 
@@ -51,13 +66,6 @@ def engine_scenario() -> Scenario:
 def reference_dataset(engine_scenario):
     return CampaignRunner(
         engine_scenario, CampaignConfig(engine="reference")
-    ).run()
-
-
-@pytest.fixture(scope="module")
-def vectorized_dataset(engine_scenario):
-    return CampaignRunner(
-        engine_scenario, CampaignConfig(engine="vectorized")
     ).run()
 
 
@@ -89,58 +97,7 @@ def pooled_rtts(dataset, target_id=None):
     return samples
 
 
-class TestVectorizedDeterminism:
-    def test_same_seed_same_digest(self, engine_scenario, vectorized_dataset):
-        again = CampaignRunner(
-            engine_scenario, CampaignConfig(engine="vectorized")
-        ).run()
-        assert again.digest() == vectorized_dataset.digest()
-
-    def test_serial_equals_parallel(self, engine_scenario, vectorized_dataset):
-        runner = ParallelCampaignRunner(
-            engine_scenario, CampaignConfig(engine="vectorized"), workers=2
-        )
-        parallel = runner.run()
-        assert parallel.digest() == vectorized_dataset.digest()
-        assert runner.stats is not None
-        assert runner.stats.engine == "vectorized"
-
-    def test_sliced_halves_merge_to_serial(
-        self, engine_scenario, vectorized_dataset
-    ):
-        config = CampaignConfig(engine="vectorized")
-        half = len(engine_scenario.clients) // 2
-        first = CampaignRunner(
-            engine_scenario, config, client_slice=(0, half)
-        ).run()
-        second = CampaignRunner(
-            engine_scenario, config,
-            client_slice=(half, len(engine_scenario.clients)),
-        ).run()
-        assert (first + second).digest() == vectorized_dataset.digest()
-
-    def test_engines_differ_bit_for_bit(
-        self, reference_dataset, vectorized_dataset
-    ):
-        # Different random streams: equality across engines would mean
-        # one is silently running the other's code path.
-        assert reference_dataset.digest() != vectorized_dataset.digest()
-
-
 class TestMatrixEngine:
-    """The whole-day matrix engine is an exact twin of the vectorized one.
-
-    Unlike reference vs vectorized (different streams, statistical
-    equivalence), matrix vs vectorized share every counter-keyed draw,
-    so their datasets must match **bit for bit** — the chunked vectorized
-    engine is the matrix engine's oracle.
-    """
-
-    def test_matrix_equals_vectorized_digest(
-        self, vectorized_dataset, matrix_dataset
-    ):
-        assert matrix_dataset.digest() == vectorized_dataset.digest()
-
     def test_same_seed_same_digest(self, engine_scenario, matrix_dataset):
         again = CampaignRunner(
             engine_scenario, CampaignConfig(engine="matrix")
@@ -169,82 +126,169 @@ class TestMatrixEngine:
         ).run()
         assert (first + second).digest() == matrix_dataset.digest()
 
-    def test_sketch_mode_matches_vectorized(self, engine_scenario):
-        matrix = CampaignRunner(
-            engine_scenario,
-            CampaignConfig(engine="matrix", sketch_threshold=32),
-        ).run()
-        vectorized = CampaignRunner(
-            engine_scenario,
-            CampaignConfig(engine="vectorized", sketch_threshold=32),
-        ).run()
-        assert matrix.digest() == vectorized.digest()
+
+#: Chunk caps the invariance property must cover: one span per chunk,
+#: exactly one span, the default, and a whole day in one chunk.
+CHUNK_ROWS = (1, _MAX_BLOCK_BEACONS, 32768, 10**9)
+
+CHUNK_CONFIGS = {
+    "plain": {},
+    "dirty": {
+        "fault_plan": FaultPlan.from_spec(
+            "record-corrupt:4,record-clock-skew:3,record-truncate:2"
+        )
+    },
+    "sketch": {"sketch_threshold": 32},
+    "capacity": {
+        "frontend_capacity": 1.5,
+        "overload_plan": OverloadPlan.from_spec("flash-crowd:1,drain:1"),
+        "load_policy": "fastroute",
+    },
+}
+
+
+def _heavy_scenario() -> Scenario:
+    # Two /24s with enough daily volume that a client-day spans several
+    # _MAX_BLOCK_BEACONS blocks (the same scenario as TestChunkedEngine).
+    return Scenario.build(
+        ScenarioConfig(
+            seed=5,
+            population=ClientPopulationConfig(
+                prefix_count=2, volume_median_queries=40_000.0
+            ),
+            workload=WorkloadConfig(max_beacons_per_day=50_000),
+            calendar=SimulationCalendar(num_days=1),
+        )
+    )
+
+
+def _multi_client_scenario() -> Scenario:
+    return Scenario.build(
+        ScenarioConfig(
+            seed=23,
+            population=ClientPopulationConfig(prefix_count=40),
+            calendar=SimulationCalendar(num_days=2),
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def chunk_scenarios():
+    return {"heavy": _heavy_scenario(), "multi": _multi_client_scenario()}
+
+
+@pytest.fixture(scope="module")
+def chunk_baselines():
+    """Whole-day-chunk digests per (scenario, config), filled lazily."""
+    return {}
+
+
+def _chunked_run(scenario, config_name, rows):
+    config = CampaignConfig(engine="matrix", **CHUNK_CONFIGS[config_name])
+    with mock.patch.object(campaign, "_MATRIX_CHUNK_ROWS", rows):
+        runner = CampaignRunner(scenario, config)
+        dataset = runner.run()
+    return dataset, runner.quarantine.digest()
+
+
+class TestChunkInvariance:
+    """The matrix engine is its own oracle across chunk sizes."""
+
+    @pytest.mark.parametrize("config_name", sorted(CHUNK_CONFIGS))
+    @pytest.mark.parametrize("scenario_name", ["heavy", "multi"])
+    @settings(max_examples=6, deadline=None)
+    @given(rows=st.sampled_from(CHUNK_ROWS) | st.integers(1, 3 * 4096))
+    @example(rows=CHUNK_ROWS[0])
+    @example(rows=CHUNK_ROWS[1])
+    @example(rows=CHUNK_ROWS[2])
+    @example(rows=CHUNK_ROWS[3])
+    def test_digests_independent_of_chunk_rows(
+        self, chunk_scenarios, chunk_baselines, scenario_name, config_name,
+        rows,
+    ):
+        scenario = chunk_scenarios[scenario_name]
+        key = (scenario_name, config_name)
+        if key not in chunk_baselines:
+            dataset, quarantine = _chunked_run(scenario, config_name, 10**9)
+            if scenario_name == "heavy":
+                # At least one client-day spans several blocks.
+                assert dataset.beacon_count > 2 * _MAX_BLOCK_BEACONS
+            if config_name == "dirty":
+                assert quarantine != QuarantineLog().digest()
+            chunk_baselines[key] = (dataset.digest(), quarantine)
+        dataset, quarantine = _chunked_run(scenario, config_name, rows)
+        assert (dataset.digest(), quarantine) == chunk_baselines[key]
 
 
 class TestEngineEquivalence:
-    def test_shared_workload_draws(
-        self, reference_dataset, vectorized_dataset
+    def test_engines_differ_bit_for_bit(
+        self, reference_dataset, matrix_dataset
     ):
+        # Different random streams: equality across engines would mean
+        # one is silently running the other's code path.
+        assert reference_dataset.digest() != matrix_dataset.digest()
+
+    def test_shared_workload_draws(self, reference_dataset, matrix_dataset):
         # Query/beacon volumes come from the same derived streams in both
         # engines, so the counts — and the passive production log — are
         # identical, not merely close.
-        assert reference_dataset.beacon_count == vectorized_dataset.beacon_count
+        assert reference_dataset.beacon_count == matrix_dataset.beacon_count
         assert (
             reference_dataset.measurement_count
-            == vectorized_dataset.measurement_count
+            == matrix_dataset.measurement_count
         )
         ref_passive = reference_dataset.passive
-        vec_passive = vectorized_dataset.passive
-        assert ref_passive.days == vec_passive.days
+        mat_passive = matrix_dataset.passive
+        assert ref_passive.days == mat_passive.days
         for day in ref_passive.days:
-            assert ref_passive.clients_on(day) == vec_passive.clients_on(day)
+            assert ref_passive.clients_on(day) == mat_passive.clients_on(day)
             for client_key in ref_passive.clients_on(day):
                 assert ref_passive.frontends_for(day, client_key) == (
-                    vec_passive.frontends_for(day, client_key)
+                    mat_passive.frontends_for(day, client_key)
                 )
 
     def test_fig3_penalty_fractions_agree(
-        self, reference_dataset, vectorized_dataset
+        self, reference_dataset, matrix_dataset
     ):
         reference = anycast_penalty_ccdf(reference_dataset).fraction_slower
-        vectorized = anycast_penalty_ccdf(vectorized_dataset).fraction_slower
+        matrix = anycast_penalty_ccdf(matrix_dataset).fraction_slower
         for region in ("world", "europe"):
             for threshold in (10.0, 25.0, 100.0):
                 assert reference[region][threshold] == pytest.approx(
-                    vectorized[region][threshold], abs=0.05
+                    matrix[region][threshold], abs=0.05
                 )
 
     def test_fig5_poor_path_prevalence_agrees(
-        self, reference_dataset, vectorized_dataset
+        self, reference_dataset, matrix_dataset
     ):
         reference = poor_path_prevalence(reference_dataset)
-        vectorized = poor_path_prevalence(vectorized_dataset)
+        matrix = poor_path_prevalence(matrix_dataset)
         for threshold in reference.thresholds:
             assert reference.mean_fraction(threshold) == pytest.approx(
-                vectorized.mean_fraction(threshold), abs=0.05
+                matrix.mean_fraction(threshold), abs=0.05
             )
 
     def test_pooled_rtt_distributions_agree(
-        self, reference_dataset, vectorized_dataset
+        self, reference_dataset, matrix_dataset
     ):
         anycast = ks_statistic(
             pooled_rtts(reference_dataset, ANYCAST_TARGET),
-            pooled_rtts(vectorized_dataset, ANYCAST_TARGET),
+            pooled_rtts(matrix_dataset, ANYCAST_TARGET),
         )
         everything = ks_statistic(
-            pooled_rtts(reference_dataset), pooled_rtts(vectorized_dataset)
+            pooled_rtts(reference_dataset), pooled_rtts(matrix_dataset)
         )
         assert anycast < 0.05
         assert everything < 0.05
 
     def test_per_path_rtt_distributions_agree(
-        self, reference_dataset, vectorized_dataset
+        self, reference_dataset, matrix_dataset
     ):
         # Per (client, anycast path), pooled across days.  Tolerance is
         # looser than the global pools: a single path sees only a few
         # hundred samples and its own daily-congestion realizations.
         ref_agg = reference_dataset.ecs_aggregates
-        vec_agg = vectorized_dataset.ecs_aggregates
+        mat_agg = matrix_dataset.ecs_aggregates
         sizes = {}
         for day in ref_agg.days:
             for group, tid, digest in ref_agg.iter_day(day):
@@ -254,7 +298,7 @@ class TestEngineEquivalence:
         assert busiest, "no anycast samples aggregated"
         for group in busiest:
             samples = []
-            for aggregate in (ref_agg, vec_agg):
+            for aggregate in (ref_agg, mat_agg):
                 pooled = []
                 for day in aggregate.days:
                     digest = aggregate.digest(day, group, ANYCAST_TARGET)
@@ -271,18 +315,32 @@ class TestEngineSelection:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(engine="warp")
 
+    def test_removed_vectorized_engine_rejected(self, capsys):
+        for build in (CampaignConfig, ScenarioConfig):
+            with pytest.raises(ConfigurationError) as caught:
+                build(engine="vectorized")
+            assert str(caught.value).endswith(
+                "expected 'reference' or 'matrix'"
+            )
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["run", "--engine", "vectorized", "out.json"]
+            )
+        error = capsys.readouterr().err
+        assert "choose from 'reference', 'matrix'" in error
+
     def test_campaign_config_overrides_scenario(self):
         scenario = Scenario.build(
             ScenarioConfig(
                 seed=5,
                 population=ClientPopulationConfig(prefix_count=20),
                 calendar=SimulationCalendar(num_days=1),
-                engine="vectorized",
+                engine="matrix",
             )
         )
         inherited = CampaignRunner(scenario)
         inherited.run()
-        assert inherited.stats.engine == "vectorized"
+        assert inherited.stats.engine == "matrix"
         overridden = CampaignRunner(
             scenario, CampaignConfig(engine="reference")
         )
@@ -291,10 +349,10 @@ class TestEngineSelection:
 
     def test_stats_format_names_engine(self, engine_scenario):
         runner = CampaignRunner(
-            engine_scenario, CampaignConfig(engine="vectorized")
+            engine_scenario, CampaignConfig(engine="matrix")
         )
         runner.run()
-        assert "engine=vectorized" in runner.stats.format()
+        assert "engine=matrix" in runner.stats.format()
 
 
 class TestLatencyDigestBulk:
@@ -363,132 +421,15 @@ class TestBulkSinks:
         aggregate.observe_many(0, "g", "anycast", np.empty(0))
         assert aggregate.days == ()
 
-    def test_diff_log_observe_many_matches_scalar(self):
+    def test_diff_log_observe_columns_matches_scalar(self):
         bulk = RequestDiffLog()
         scalar = RequestDiffLog()
-        anycast = np.array([30.0, 45.0])
-        unicast = np.array([20.0, 50.0])
-        bulk.observe_many(2, 7, "europe", anycast, unicast)
-        for a, b in zip(anycast, unicast):
-            scalar.observe(2, 7, "europe", float(a), float(b))
+        anycast = np.array([30.0, 45.0, 12.0])
+        unicast = np.array([20.0, 50.0, 11.0])
+        clients = np.array([7, 7, 9])
+        regions = ("europe", "europe", "asia")
+        codes = np.array([bulk.region_code(name) for name in regions])
+        bulk.observe_columns(2, clients, codes, anycast, unicast)
+        for a, b, client, region in zip(anycast, unicast, clients, regions):
+            scalar.observe(2, int(client), region, float(a), float(b))
         assert list(bulk.rows()) == list(scalar.rows())
-
-    def test_diff_log_observe_many_rejects_mismatched_lengths(self):
-        log = RequestDiffLog()
-        with pytest.raises(MeasurementError):
-            log.observe_many(0, 0, "europe", np.zeros(2), np.zeros(3))
-
-    def test_joined_batch_feeds_both_observer_kinds(self):
-        rows = []
-        batches = []
-        backend = BeaconBackend(
-            observers=[rows.append], batch_observers=[batches.append]
-        )
-        batch = JoinedBatch(
-            day=1,
-            client_key="10.0.0.0/24",
-            ldns_id="ldns-1",
-            segments=(
-                JoinedSegment("anycast", "fe-a", np.array([12.0, 14.0])),
-                JoinedSegment("fe-b", "fe-b", np.array([20.0])),
-            ),
-        )
-        assert batch.count == 3
-        backend.on_joined_batch(batch)
-        assert backend.joined_count == 3
-        assert backend.pending_count == 0
-        assert batches == [batch]
-        assert [row.rtt_ms for row in rows] == [12.0, 14.0, 20.0]
-        assert rows[0].target_id == "anycast"
-        assert rows[0].frontend_id == "fe-a"
-        assert rows[2].ldns_id == "ldns-1"
-
-
-class TestBatchedSamplers:
-    def test_jitter_batch_matches_scalar_distribution(self):
-        import random
-
-        model = LatencyModel()
-        gen = np.random.default_rng(11)
-        batch = model.sample_jitter_batch_ms(gen, 20_000)
-        rng = random.Random(11)
-        scalar = [model.sample_jitter_ms(rng) for _ in range(20_000)]
-        assert batch.shape == (20_000,)
-        assert float(batch.min()) >= 0.0
-        assert ks_statistic(batch, scalar) < 0.02
-
-    def test_jitter_batch_shape_and_zero_median(self):
-        model = LatencyModel(
-            LatencyConfig(jitter_median_ms=0.0, spike_probability=0.0)
-        )
-        batch = model.sample_jitter_batch_ms(
-            np.random.default_rng(0), (4, 3)
-        )
-        assert batch.shape == (4, 3)
-        assert not batch.any()
-
-    def test_daily_variation_batch_rate_matches_probability(self):
-        model = LatencyModel()
-        gen = np.random.default_rng(3)
-        draws = model.sample_daily_variation_batch_ms(gen, 50_000)
-        rate = float((draws > 0).mean())
-        assert rate == pytest.approx(
-            model.config.daily_variation_probability, abs=0.01
-        )
-        anycast = model.sample_daily_variation_batch_ms(
-            gen, 50_000, anycast=True
-        )
-        assert float((anycast > 0).mean()) == pytest.approx(
-            model.config.anycast_daily_variation_probability, abs=0.01
-        )
-
-    def test_daily_variation_batch_disabled_is_zero(self):
-        model = LatencyModel(
-            LatencyConfig(daily_variation_probability=0.0)
-        )
-        draws = model.sample_daily_variation_batch_ms(
-            np.random.default_rng(0), 10
-        )
-        assert not draws.any()
-        assert model.sample_daily_variation_batch_ms(
-            np.random.default_rng(0), 0
-        ).shape == (0,)
-
-    def test_pick_indices_rows_are_distinct_and_in_range(
-        self, engine_scenario
-    ):
-        selector = BeaconTargetSelector(
-            engine_scenario.network.frontends,
-            engine_scenario.geolocation,
-            BeaconConfig(),
-        )
-        ldns_id = engine_scenario.clients[0].ldns_id
-        pool = selector.pick_pool(ldns_id)
-        picks = selector.sample_pick_indices(
-            ldns_id, np.random.default_rng(5), 200
-        )
-        assert picks.shape[0] == 200
-        assert picks.shape[1] <= len(pool)
-        assert picks.min() >= 0
-        assert picks.max() < len(pool)
-        for row in picks:
-            assert len(set(row.tolist())) == len(row)
-
-    def test_pick_indices_weighting_prefers_near_targets(
-        self, engine_scenario
-    ):
-        # Rank-weighted sampling without replacement: the pool is ordered
-        # by proximity, so nearer pool slots must be picked more often.
-        selector = BeaconTargetSelector(
-            engine_scenario.network.frontends,
-            engine_scenario.geolocation,
-            BeaconConfig(),
-        )
-        ldns_id = engine_scenario.clients[0].ldns_id
-        picks = selector.sample_pick_indices(
-            ldns_id, np.random.default_rng(9), 4000
-        )
-        counts = np.bincount(
-            picks.ravel(), minlength=len(selector.pick_pool(ldns_id))
-        )
-        assert counts[0] > counts[-1]

@@ -126,7 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     sketch_config = CampaignConfig(
-        engine="vectorized",
+        engine="matrix",
         sketch_threshold=args.sketch_threshold,
         sketch_max_buckets=args.sketch_max_buckets,
     )
@@ -163,7 +163,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     exact_results = None
     if args.with_exact:
         exact_results = {}
-        exact_config = CampaignConfig(engine="vectorized")
+        exact_config = CampaignConfig(engine="matrix")
         for clients in (small, large):
             scenario = _scenario(
                 clients, args.prefixes, args.days, args.seed
