@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.anycast_perf import anycast_penalty_ccdf
 from repro.analysis.load import load_latency_tradeoff, shed_traffic_fractions
@@ -378,13 +378,23 @@ def _export_trace(args: argparse.Namespace, study: AnycastStudy) -> None:
 
 
 def _append_history(
-    args: argparse.Namespace, study: AnycastStudy, label: str
+    args: argparse.Namespace,
+    study: AnycastStudy,
+    label: str,
+    manifest: Optional[Dict[str, Any]] = None,
 ) -> None:
-    """Append this run's perf record if ``--history-out`` was given."""
+    """Append this run's perf record if ``--history-out`` was given.
+
+    A run manifest written earlier in the command already holds the
+    dataset digest; passing it spares hashing the dataset twice.
+    """
     if not getattr(args, "history_out", None):
         return
     record = record_from_snapshot(
-        study.telemetry_snapshot(), label, dataset=study.dataset
+        study.telemetry_snapshot(),
+        label,
+        dataset=study.dataset,
+        dataset_digest=(manifest or {}).get("dataset_digest"),
     )
     history = BenchHistory.load(args.history_out)
     history.append(record)
@@ -629,10 +639,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     _configure_telemetry(args, config)
     study = AnycastStudy(config, campaign=_campaign_config(args))
     report = study.full_report()
+    manifest = None
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")
-        write_run_manifest(
+        manifest = write_run_manifest(
             manifest_path_for(args.out),
             study.telemetry_snapshot(),
             dataset=study.dataset,
@@ -644,7 +655,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     _export_quarantine(args, study)
     _export_telemetry(args, study)
     _export_trace(args, study)
-    _append_history(args, study, "repro-report")
+    _append_history(args, study, "repro-report", manifest)
     return 0
 
 
@@ -663,7 +674,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     manifest_path = manifest_path_for(args.dataset)
-    write_run_manifest(
+    manifest = write_run_manifest(
         manifest_path,
         study.telemetry_snapshot(),
         dataset=dataset,
@@ -678,7 +689,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _export_quarantine(args, study)
     _export_telemetry(args, study)
     _export_trace(args, study)
-    _append_history(args, study, "repro-run")
+    _append_history(args, study, "repro-run", manifest)
     return 0
 
 

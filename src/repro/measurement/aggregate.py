@@ -10,8 +10,8 @@ Two aggregation modes exist end to end:
 
 * **exact** (the default, and the small-N oracle): every sample is
   retained in a C-double array, percentiles interpolate over the sorted
-  samples, and dataset digests hash the raw values — bit-compatible with
-  every export and digest this repo has ever produced.
+  samples, and dataset digests hash the raw values' bit patterns —
+  exports round-trip every sample bit for bit.
 * **sketch** (``exact_threshold`` set): a digest that grows past the
   threshold *promotes* into a bounded
   :class:`repro.measurement.sketch.LatencySketch` and stops retaining
@@ -28,7 +28,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -397,6 +406,25 @@ class LatencyDigest:
         return view
 
 
+class DayColumns(NamedTuple):
+    """One day of a :class:`GroupedDailyAggregates` sink as columns.
+
+    Attributes:
+        keys: Every ``(group, target)`` holding a digest that day, sorted.
+        counts: int64 sample count of each key's digest (both modes).
+        sketches: ``(key index, sketch)`` for the promoted digests, in
+            key order.
+        samples: float64 samples of the exact digests, concatenated in
+            key order (each digest's own insertion order; sketch-mode
+            keys contribute nothing).
+    """
+
+    keys: List[Tuple[str, str]]
+    counts: np.ndarray
+    sketches: List[Tuple[int, LatencySketch]]
+    samples: np.ndarray
+
+
 class GroupedDailyAggregates:
     """day → group → target → :class:`LatencyDigest`.
 
@@ -573,6 +601,39 @@ class GroupedDailyAggregates:
         for group, per_group in self._days.get(day, {}).items():
             for target_id, digest in per_group.items():
                 yield group, target_id, digest
+
+    def day_columns(self, day: int) -> DayColumns:
+        """One day's digests as sorted keys, counts and one sample array.
+
+        The exact samples are joined straight from the digests' C-double
+        buffers (one copy, no per-sample Python work), which is what
+        lets :meth:`repro.simulation.dataset.StudyDataset.digest` hash
+        a day in a handful of numpy calls.
+        """
+        per_day = self._days.get(day, {})
+        keys: List[Tuple[str, str]] = []
+        counts: List[int] = []
+        sketches: List[Tuple[int, LatencySketch]] = []
+        buffers: List[array] = []
+        for group in sorted(per_day):
+            per_group = per_day[group]
+            for target_id in sorted(per_group):
+                digest = per_group[target_id]
+                samples = digest._values
+                if samples is None:
+                    assert digest._sketch is not None
+                    sketches.append((len(keys), digest._sketch))
+                    counts.append(digest._sketch.count)
+                else:
+                    buffers.append(samples)
+                    counts.append(len(samples))
+                keys.append((group, target_id))
+        return DayColumns(
+            keys=keys,
+            counts=np.asarray(counts, dtype=np.int64),
+            sketches=sketches,
+            samples=np.frombuffer(b"".join(buffers), dtype=np.float64),
+        )
 
     def sketch_stats(self) -> Tuple[int, int, int, int, int]:
         """Compression accounting: ``(exact_digests, sketch_digests,
@@ -872,6 +933,34 @@ class RequestDiffLog:
                 "exact diff log has no sketches; use diffs()/rows()"
             )
         return dict(self._sketches)
+
+    def columns(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Zero-copy read-only views of the row columns (exact mode):
+        ``(day int32, client_index int32, region_code int8, anycast
+        float32, best_unicast float32)``.  Do not hold them across later
+        appends.
+
+        Raises:
+            MeasurementError: in bounded mode, which retains no rows.
+        """
+        if self._bounded:
+            raise MeasurementError(
+                "bounded diff log retains no per-request rows"
+            )
+        views = []
+        for column, dtype in (
+            (self._day, np.int32),
+            (self._client_index, np.int32),
+            (self._region_code, np.int8),
+            (self._anycast, np.float32),
+            (self._best_unicast, np.float32),
+        ):
+            view = np.frombuffer(column, dtype=dtype)
+            view.flags.writeable = False
+            views.append(view)
+        return tuple(views)  # type: ignore[return-value]
 
     def rows(self) -> Iterator[RequestDiffRow]:
         """Iterate all rows (mostly for tests; analyses use columns).

@@ -40,6 +40,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.errors import MeasurementError, StorageError
 from repro.clients.population import ClientPrefix
 from repro.geo.coords import GeoPoint
@@ -79,8 +81,11 @@ _DIFF_CHUNK = 100_000
 _log = get_logger("export")
 
 
-def _pack_doubles(values) -> str:
-    return base64.b64encode(array("d", values).tobytes()).decode("ascii")
+def _pack_doubles(values: np.ndarray) -> str:
+    """Base64 of the values as native float64 bytes, converted and
+    encoded as whole buffers (no per-element Python work)."""
+    raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    return base64.b64encode(raw).decode("ascii")
 
 
 def _unpack_doubles(text: str) -> array:
@@ -235,17 +240,16 @@ def _passive_from_obj(obj: Dict[str, Any]) -> PassiveLog:
 def _diffs_slice_obj(
     diffs: RequestDiffLog, start: int, stop: int
 ) -> Dict[str, Any]:
+    day, client, region, anycast, best = (
+        column[start:stop] for column in diffs.columns()
+    )
     return {
         "region_names": list(diffs.region_names),
-        "day": _pack_doubles(float(x) for x in diffs._day[start:stop]),
-        "client_index": _pack_doubles(
-            float(x) for x in diffs._client_index[start:stop]
-        ),
-        "region_code": _pack_doubles(
-            float(x) for x in diffs._region_code[start:stop]
-        ),
-        "anycast": _pack_doubles(diffs._anycast[start:stop]),
-        "best_unicast": _pack_doubles(diffs._best_unicast[start:stop]),
+        "day": _pack_doubles(day),
+        "client_index": _pack_doubles(client),
+        "region_code": _pack_doubles(region),
+        "anycast": _pack_doubles(anycast),
+        "best_unicast": _pack_doubles(best),
     }
 
 

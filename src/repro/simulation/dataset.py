@@ -8,7 +8,9 @@ Datasets over the same calendar and client population are *mergeable*
 campaign produces one partial dataset per client shard and folds them
 into the full dataset.  :meth:`StudyDataset.digest` gives a canonical,
 order-insensitive fingerprint, so serial, parallel, and re-ordered runs
-of the same scenario can be checked for bit-identical results.
+of the same scenario can be checked for bit-identical results.  It
+hashes column bytes — sample bit patterns, counts, request-diff columns
+— a (sink, day) at a time, never one text line per sample.
 
 Datasets also track *coverage*: which half-open client index ranges they
 actually measured.  Merging overlapping coverage is rejected (a
@@ -29,7 +31,11 @@ import numpy as np
 
 from repro.errors import MeasurementError
 from repro.clients.population import ClientPrefix
-from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
+from repro.measurement.aggregate import (
+    DayColumns,
+    GroupedDailyAggregates,
+    RequestDiffLog,
+)
 from repro.measurement.logs import PassiveLog
 from repro.simulation.clock import SimulationCalendar
 
@@ -259,88 +265,156 @@ class StudyDataset:
         is canonicalized, so two datasets holding the same *multiset* of
         measurements — e.g. a serial run and a merged sharded run, whose
         shared-LDNS digests interleave samples differently — produce the
-        same hex digest.  Floats hash by exact ``repr``; no tolerance.
+        same hex digest.  Floats hash by their exact IEEE-754 bit
+        patterns, sorted as unsigned integers: a total order, so ``-0.0``
+        vs ``0.0`` and NaN payloads canonicalize too; no tolerance.
+
+        Samples and request-diff rows hash as column bytes, one (sink,
+        day) or one log at a time; keys, sketches, passive counts and
+        the rest hash as joined text blocks.  Every block's length is
+        fixed by what precedes it, so distinct datasets never share a
+        hash input.
         """
-        h = hashlib.sha256()
-
-        def put(*parts: object) -> None:
-            for part in parts:
-                h.update(str(part).encode("utf-8"))
-                h.update(b"\x1f")
-
-        put("calendar", self.calendar.start.isoformat(), self.calendar.num_days)
-        put("clients", len(self.clients))
-        for client in self.clients:
-            put(client.key)
+        out = _DigestWriter()
+        out.text(
+            "calendar", self.calendar.start.isoformat(), self.calendar.num_days
+        )
+        out.text("clients", len(self.clients), *(c.key for c in self.clients))
         for aggregates in (self.ecs_aggregates, self.ldns_aggregates):
-            put("aggregates", aggregates.grouping)
+            out.text("aggregates", aggregates.grouping)
             for day in aggregates.days:
-                for group in aggregates.groups_on(day):
-                    for target_id, digest in sorted(
-                        aggregates.targets_for(day, group).items()
-                    ):
-                        put(day, group, target_id)
-                        if digest.is_exact:
-                            # tolist() yields Python floats, so repr
-                            # matches the historical sorted(values())
-                            # hashing byte for byte.
-                            ordered = np.sort(digest.values_view()).tolist()
-                            for value in ordered:
-                                put(repr(value))
-                        else:
-                            assert digest.sketch is not None
-                            put("sketch", digest.sketch.digest())
-        put("request_diffs", len(self.request_diffs))
-        names = self.request_diffs.region_names
-        if self.request_diffs.is_bounded:
-            put("diff-sketches")
-            sketches = self.request_diffs.day_region_sketches()
-            for (day, region) in sorted(sketches):
-                put(day, region, sketches[(day, region)].digest())
-        else:
-            for row in sorted(
-                self.request_diffs.rows(),
-                key=lambda r: (
-                    r.day,
-                    r.client_index,
-                    r.anycast_rtt_ms,
-                    r.best_unicast_rtt_ms,
-                ),
-            ):
-                put(
-                    row.day,
-                    row.client_index,
-                    names[row.region_code],
-                    repr(row.anycast_rtt_ms),
-                    repr(row.best_unicast_rtt_ms),
-                )
-        put("passive")
+                columns = aggregates.day_columns(day)
+                if columns.keys:
+                    _digest_day(out, day, columns)
+        _digest_diffs(out, self.request_diffs)
+        out.text("passive")
         if self.passive.is_bounded:
-            put("totals")
+            out.text("totals")
             for day in self.passive.days:
-                for frontend_id, count in sorted(
-                    self.passive.day_totals(day).items()
-                ):
-                    put(day, frontend_id, count)
+                totals = sorted(self.passive.day_totals(day).items())
+                out.text(
+                    day,
+                    len(totals),
+                    *(f"{frontend}\x1f{count}" for frontend, count in totals),
+                )
         else:
             for day in self.passive.days:
-                for client_key in sorted(self.passive.clients_on(day)):
+                lines = [
+                    f"{client_key}\x1f{frontend_id}\x1f{count}"
+                    for client_key in sorted(self.passive.clients_on(day))
                     for frontend_id, count in sorted(
                         self.passive.frontends_for(day, client_key).items()
-                    ):
-                        put(day, client_key, frontend_id, count)
-        put("counts", self.beacon_count, self.measurement_count)
-        # Only a *partial* dataset hashes its coverage: complete datasets
-        # keep their historical digests, while a degraded campaign can
-        # never impersonate the full run it fell short of.
+                    )
+                ]
+                if lines:
+                    out.text(day, len(lines), *lines)
+        out.text("counts", self.beacon_count, self.measurement_count)
+        # Only a *partial* dataset hashes its coverage, so a degraded
+        # campaign can never impersonate the full run it fell short of.
         missing = self.missing_ranges()
         if missing:
-            put("missing", len(missing))
-            for start, stop in missing:
-                put(start, stop)
-        # Same only-when-present rule as coverage: capacity-off datasets
-        # keep their historical digests, capacity-on runs must agree on
-        # the whole load timeline bit for bit.
+            out.text(
+                "missing",
+                len(missing),
+                *(f"{start}\x1f{stop}" for start, stop in missing),
+            )
+        # Same only-when-present rule as coverage: capacity-on runs must
+        # agree on the whole load timeline bit for bit.
         if self.load_summary is not None:
-            put("load", json.dumps(self.load_summary, sort_keys=True))
-        return h.hexdigest()
+            out.text("load", json.dumps(self.load_summary, sort_keys=True))
+        return out.hexdigest()
+
+
+class _DigestWriter:
+    """SHA-256 over ``\\x1f``-joined text blocks and raw column bytes."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+
+    def text(self, *parts: object) -> None:
+        """Hash every part's ``str`` followed by a unit separator."""
+        self._hash.update(
+            ("\x1f".join(map(str, parts)) + "\x1f").encode("utf-8")
+        )
+
+    def column(self, values: np.ndarray, dtype: str) -> None:
+        """Hash an array's bytes in a fixed (little-endian) dtype."""
+        self._hash.update(values.astype(dtype, copy=False).tobytes())
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def _digest_day(out: _DigestWriter, day: int, columns: DayColumns) -> None:
+    """Hash one (sink, day): keys, counts, sketches, sorted sample bits.
+
+    Each exact digest's samples sort by their uint64 bit pattern, one
+    ``np.lexsort`` keyed by digest for the whole day.  The counts pin
+    every sample to its key, so one cannot slide into a neighbouring
+    digest unnoticed.
+    """
+    out.text(
+        day,
+        len(columns.keys),
+        *(f"{group}\x1f{target}" for group, target in columns.keys),
+    )
+    out.column(columns.counts, "<i8")
+    out.text(
+        "sketches",
+        len(columns.sketches),
+        *(f"{index}\x1f{sketch.digest()}" for index, sketch in columns.sketches),
+    )
+    bits = columns.samples.view(np.uint64)
+    if bits.size == 0:
+        return
+    exact_counts = columns.counts
+    if columns.sketches:
+        exact = np.ones(exact_counts.size, dtype=bool)
+        exact[[index for index, _ in columns.sketches]] = False
+        exact_counts = exact_counts[exact]
+    segment = np.repeat(
+        np.arange(exact_counts.size, dtype=np.int64), exact_counts
+    )
+    out.column(bits[np.lexsort((bits, segment))], "<u8")
+
+
+def _digest_diffs(out: _DigestWriter, diffs: RequestDiffLog) -> None:
+    """Hash the request-diff log (see :meth:`StudyDataset.digest`).
+
+    Exact rows sort with one ``np.lexsort`` over (day, client, anycast
+    bits, best-unicast bits, region rank) and hash as five little-endian
+    columns.  The rank indexes the sorted names of the regions the rows
+    use — never the first-use code, which differs between shard merge
+    orders.
+    """
+    out.text("request_diffs", len(diffs))
+    if diffs.is_bounded:
+        sketches = diffs.day_region_sketches()
+        out.text(
+            "diff-sketches",
+            len(sketches),
+            *(
+                f"{day}\x1f{region}\x1f{sketches[(day, region)].digest()}"
+                for day, region in sorted(sketches)
+            ),
+        )
+        return
+    day, client, code, anycast, best = diffs.columns()
+    names = diffs.region_names
+    used = np.flatnonzero(
+        np.bincount(code.astype(np.intp), minlength=len(names))
+    )
+    used_names = sorted(names[c] for c in used)
+    rank_of_code = np.zeros(len(names), dtype=np.int8)
+    for c in used:
+        rank_of_code[c] = used_names.index(names[c])
+    rank = rank_of_code[code]
+    anycast_bits = anycast.view(np.uint32)
+    best_bits = best.view(np.uint32)
+    order = np.lexsort((rank, best_bits, anycast_bits, client, day))
+    out.text("regions", len(used_names), *used_names)
+    out.column(day[order], "<i4")
+    out.column(client[order], "<i4")
+    out.column(anycast_bits[order], "<u4")
+    out.column(best_bits[order], "<u4")
+    out.column(rank[order], "<i1")

@@ -121,6 +121,7 @@ def record_from_snapshot(
     engine: Optional[str] = None,
     config_hash: Optional[str] = None,
     dataset: Any = None,
+    dataset_digest: Optional[str] = None,
     wall_seconds: Optional[float] = None,
     recorded_at: Optional[str] = None,
 ) -> PerfRecord:
@@ -129,7 +130,9 @@ def record_from_snapshot(
     Wall time comes from the ``campaign.wall_seconds`` gauge (or the
     explicit override), throughput from ``campaign.beacons_total`` over
     that wall time, phase splits from every span path, and peak RSS
-    from the ``campaign.peak_rss_bytes`` gauge.
+    from the ``campaign.peak_rss_bytes`` gauge.  The record's dataset
+    digest is ``dataset_digest`` when given (e.g. from a manifest that
+    already hashed the dataset), else ``dataset.digest()``.
     """
     gauges = snapshot.gauges
     if wall_seconds is None:
@@ -156,7 +159,11 @@ def record_from_snapshot(
         beacons_per_second=rate,
         phase_seconds=phase_seconds,
         peak_rss_bytes=peak_rss,
-        dataset_digest=dataset.digest() if dataset is not None else None,
+        dataset_digest=(
+            dataset_digest
+            if dataset_digest is not None or dataset is None
+            else dataset.digest()
+        ),
     )
 
 

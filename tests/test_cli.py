@@ -69,6 +69,31 @@ def test_run_and_analyze_round_trip(tmp_path, capsys):
     assert "Fig 5" in out
 
 
+def test_run_with_history_hashes_dataset_once(tmp_path, capsys, monkeypatch):
+    import json
+
+    from repro.simulation.dataset import StudyDataset
+
+    calls = []
+    original = StudyDataset.digest
+
+    def counting_digest(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(StudyDataset, "digest", counting_digest)
+    dataset_path = str(tmp_path / "ds.json")
+    history_path = tmp_path / "history.json"
+    assert main([
+        "run", "--prefixes", "40", "--days", "2", "--seed", "9",
+        "--history-out", str(history_path), dataset_path,
+    ]) == 0
+    assert len(calls) == 1
+    manifest = json.loads((tmp_path / "ds.manifest.json").read_text())
+    records = json.loads(history_path.read_text())["records"]
+    assert records[-1]["dataset_digest"] == manifest["dataset_digest"]
+
+
 def test_analyze_all_default(tmp_path, capsys):
     dataset_path = str(tmp_path / "ds.json")
     main(["run", "--prefixes", "50", "--days", "3", "--seed", "9", dataset_path])

@@ -128,3 +128,68 @@ def test_aggregate_serialization_round_trip_property(samples):
             (g, t, d.values()) for g, t, d in after.iter_day(day)
         )
         assert before_rows == after_rows
+
+
+def _tiny_dataset():
+    """A hand-built dataset whose packed frames are pinned below."""
+    from tests.helpers import make_client, make_dataset
+
+    clients = [make_client(i) for i in range(3)]
+    dataset = make_dataset(
+        clients,
+        num_days=2,
+        ecs_samples=[
+            (0, clients[0].key, "fe-a", [12.5, 0.1, -0.0, 1e-300]),
+            (1, clients[2].key, "fe-b", [33.25]),
+        ],
+        ldns_samples=[(0, "ldns-x", "fe-a", [12.5, 0.1, 7.0])],
+        passive_counts=[(0, clients[0].key, "fe-a", 3)],
+    )
+    for day, client, region, anycast, best in (
+        (0, 0, "europe", 20.1, 18.7),
+        (1, 2, "asia", 0.3, 55.5),
+        (0, 1, "europe", 9.0, 9.0),
+    ):
+        dataset.request_diffs.observe(day, client, region, anycast, best)
+    return dataset
+
+
+def test_packed_frame_text_is_pinned():
+    """The vectorized packers write exactly the bytes the per-element
+    ``array("d", ...)`` packers wrote: every base64 cell and the whole
+    framed file are pinned to that encoder's output."""
+    import hashlib
+
+    from repro.measurement.export import _dataset_frames
+
+    dataset = _tiny_dataset()
+    frames = list(_dataset_frames(dataset))
+    aggregates = {
+        (frame["which"], frame["day"]): frame["rows"]
+        for frame in frames
+        if frame["kind"] == "aggregates"
+    }
+    assert aggregates[("ecs", 0)] == [[
+        "10.0.0.0/24", "fe-a", "AAAAAAAAKUCamZmZmZm5PwAAAAAAAACAWfP4wh9upQE=",
+    ]]
+    assert aggregates[("ldns", 0)] == [[
+        "ldns-x", "fe-a", "AAAAAAAAKUCamZmZmZm5PwAAAAAAABxA",
+    ]]
+    assert aggregates[("ecs", 1)] == [[
+        "10.0.2.0/24", "fe-b", "AAAAAACgQEA=",
+    ]]
+    (diffs,) = [f for f in frames if f["kind"] == "request_diffs"]
+    assert {key: diffs[key] for key in sorted(diffs) if key != "kind"} == {
+        "anycast": "AAAAoJkZNEAAAABAMzPTPwAAAAAAACJA",
+        "best_unicast": "AAAAQDOzMkAAAAAAAMBLQAAAAAAAACJA",
+        "client_index": "AAAAAAAAAAAAAAAAAAAAQAAAAAAAAPA/",
+        "day": "AAAAAAAAAAAAAAAAAADwPwAAAAAAAAAA",
+        "index": 0,
+        "region_code": "AAAAAAAAAAAAAAAAAADwPwAAAAAAAAAA",
+        "region_names": ["europe", "asia"],
+    }
+    handle = io.StringIO()
+    save_dataset(dataset, handle)
+    assert hashlib.sha256(handle.getvalue().encode("utf-8")).hexdigest() == (
+        "b64d480f74adf91e08e778fd2c5525ea3bb80329d2fccfe54c5e2e814f2e78c8"
+    )

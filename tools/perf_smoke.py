@@ -41,6 +41,12 @@ The sketch leg (always on) reruns the campaign in bounded sketch mode
 to match bit-for-bit, and requires the sketch-mode Fig 3/Fig 5 headline
 fractions to stay within ``--sketch-tolerance`` of the exact run's.
 
+The digest leg (always on) times ``StudyDataset.digest()`` on the serial
+matrix dataset and fails if hashing it takes more than
+:data:`MAX_DIGEST_RATIO` times that campaign's wall time — the guard
+against the fingerprint drifting back to per-sample work.  The ratio is
+recorded in the ``--rss-manifest-out`` manifest.
+
 The memory leg (``--memory-populations A,B``) runs the bounded campaign
 at two population sizes with a tracemalloc probe around each and fails
 if peak traced memory grows super-linearly in the population — the
@@ -60,6 +66,7 @@ from __future__ import annotations
 import argparse
 import os
 import tempfile
+import time
 from typing import Optional, Sequence
 
 from repro.analysis.anycast_perf import WORLD, anycast_penalty_ccdf
@@ -79,6 +86,12 @@ from repro.telemetry import (
     record_from_snapshot,
     write_run_manifest,
 )
+
+
+#: Most ``StudyDataset.digest()`` may take on the serial matrix dataset,
+#: as a multiple of that campaign's wall time (column hashing runs well
+#: under 0.5x; per-sample text hashing ran at 2.4-2.8x).
+MAX_DIGEST_RATIO = 1.0
 
 
 class _TimedRun:
@@ -198,12 +211,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     reference = _TimedRun(scenario, CampaignConfig(engine="reference"))
     matrix = _TimedRun(scenario, CampaignConfig(engine="matrix"))
     speedup = matrix.rate / reference.rate
+    # Timed under a tracemalloc probe like the campaign it is compared
+    # with, so the ratio weighs the two phases under the same overhead.
+    with MemoryProbe() as digest_probe:
+        digest_started = time.perf_counter()
+        matrix_digest = matrix.dataset.digest()
+        digest_seconds = time.perf_counter() - digest_started
+    digest_ratio = digest_seconds / matrix.seconds
 
     sharded_runner = ParallelCampaignRunner(
         scenario, CampaignConfig(engine="matrix"), workers=2
     )
     sharded = sharded_runner.run()
-    if sharded.digest() != matrix.dataset.digest():
+    if sharded.digest() != matrix_digest:
         print("FAIL: matrix serial and 2-worker digests diverged")
         return 1
     sharded_counters = sharded_runner.telemetry.snapshot().counters
@@ -238,6 +258,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"  peak traced memory: reference {reference.peak / 1e6:.1f} MB, "
         f"matrix {matrix.peak / 1e6:.1f} MB "
         f"(process peak RSS {peak_rss_bytes() / 1e6:.1f} MB)"
+    )
+    print(
+        f"  matrix dataset digest: {digest_seconds:.3f}s = "
+        f"{digest_ratio:.2f}x campaign wall "
+        f"(limit {MAX_DIGEST_RATIO:.2f}x; peak traced memory "
+        f"{digest_probe.peak_bytes / 1e6:.1f} MB)"
     )
     print("  matrix serial == 2-worker digest: ok")
     print("  matrix serial == 2-worker merged telemetry counters: ok")
@@ -413,6 +439,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "peak_rss_bytes": peak_rss_bytes(),
                 "sketch_threshold": args.sketch_threshold,
                 "memory_leg": memory_leg,
+                "digest_leg": {
+                    "digest_seconds": digest_seconds,
+                    "peak_traced_bytes": digest_probe.peak_bytes,
+                    "campaign_seconds": matrix.seconds,
+                    "ratio": digest_ratio,
+                    "limit": MAX_DIGEST_RATIO,
+                },
             },
         )
         print(f"  wrote memory manifest to {args.rss_manifest_out}")
@@ -443,7 +476,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 },
             )
             print(f"  wrote chaos manifest to {args.fault_manifest_out}")
-        if chaos_dataset.digest() != matrix.dataset.digest():
+        if chaos_dataset.digest() != matrix_digest:
             print(
                 f"FAIL: fault plan {args.fault_plan!r} survived retries but "
                 "produced a different digest than the fault-free run"
@@ -600,6 +633,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"FAIL: matrix engine only {speedup:.2f}x over reference "
             f"(required >= {args.min_speedup:.1f}x)"
+        )
+        return 1
+    if digest_ratio > MAX_DIGEST_RATIO:
+        print(
+            f"FAIL: dataset digest took {digest_ratio:.2f}x the matrix "
+            f"campaign's wall time (limit {MAX_DIGEST_RATIO:.2f}x)"
         )
         return 1
     return 0
