@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import math
 import struct
 from array import array
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
@@ -286,9 +287,19 @@ class LatencySketch:
     def _track(self, lo: float, hi: float, total: float, n: int) -> None:
         self._count += n
         self._sum += total
-        if self._min is None or lo < self._min:
+        # Extrema order -0.0 below 0.0, so a tie between the two zeros
+        # resolves by the multiset, never by which one came first.
+        if (
+            self._min is None
+            or lo < self._min
+            or (lo == self._min == 0.0 and math.copysign(1.0, lo) < 0.0)
+        ):
             self._min = lo
-        if self._max is None or hi > self._max:
+        if (
+            self._max is None
+            or hi > self._max
+            or (hi == self._max == 0.0 and math.copysign(1.0, hi) > 0.0)
+        ):
             self._max = hi
         self._ordered = None
 
@@ -333,9 +344,16 @@ class LatencySketch:
             uniques, counts = np.unique(keys, return_counts=True)
             for key, count in zip(uniques.tolist(), counts.tolist()):
                 store[key] = store.get(key, 0) + count
-        self._track(
-            float(arr.min()), float(arr.max()), float(arr.sum()), arr.size
-        )
+        low, high = float(arr.min()), float(arr.max())
+        if low == 0.0 or high == 0.0:
+            # numpy breaks the -0.0/0.0 tie arbitrarily; take the signed
+            # extrema _track would reach one value at a time.
+            negative_zero = np.signbit(arr[arr == 0.0])
+            if low == 0.0:
+                low = -0.0 if negative_zero.any() else 0.0
+            if high == 0.0:
+                high = -0.0 if negative_zero.all() else 0.0
+        self._track(low, high, float(arr.sum()), arr.size)
         self._compress()
 
     def merge(self, other: "LatencySketch") -> "LatencySketch":

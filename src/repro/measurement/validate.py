@@ -418,6 +418,47 @@ class ValidationGate:
             day, client_key, record_index, reason, rtt_ms, repaired
         )
 
+    def admit_run(
+        self, day: int, client_key: str, rtts: np.ndarray
+    ) -> np.ndarray:
+        """Validate a 1-D run of RTT records; the live service's path.
+
+        Equivalent to folding :meth:`admit` over ``rtts`` with record
+        index ``-1``: the same counters, the same quarantine entries in
+        the same order, and — under ``strict`` — the same raise with
+        ``records_total`` counted up to the offending record.  Returns
+        the admitted values in stream order: ``rtts`` itself when every
+        cell is valid, else a new array with dropped cells removed and
+        repaired cells clamped (``rtts`` is never mutated).
+
+        Raises:
+            ValidationError: under the ``strict`` policy.
+        """
+        # Two reductions are the cheapest all-valid probe; a NaN
+        # propagates into both and fails it.
+        if not len(rtts) or (
+            0.0 <= rtts.min() and rtts.max() <= MAX_PLAUSIBLE_RTT_MS
+        ):
+            self.records_total += len(rtts)
+            return rtts
+        with np.errstate(invalid="ignore"):
+            valid = (rtts >= 0.0) & (rtts <= MAX_PLAUSIBLE_RTT_MS)
+        admitted = np.array(rtts, dtype=np.float64)
+        counted = 0
+        for index in np.flatnonzero(~valid).tolist():
+            self.records_total += index + 1 - counted
+            counted = index + 1
+            value = float(rtts[index])
+            verdict = classify_rtt(value)
+            assert verdict is not None
+            reason, repaired = verdict
+            kept = self._reject(day, client_key, -1, reason, value, repaired)
+            if kept is not None:
+                admitted[index] = kept
+                valid[index] = True
+        self.records_total += len(rtts) - counted
+        return admitted[valid]
+
     def admit_matrix(
         self, day: int, client_key: str, rtts: np.ndarray
     ) -> Optional[np.ndarray]:

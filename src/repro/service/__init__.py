@@ -7,7 +7,8 @@ re-evaluated as the window slides.  This package is that loop for the
 simulated pipeline:
 
 * :mod:`repro.service.events` — the stream vocabulary (beacon/passive
-  events) and an order-insensitive incremental dataset digest;
+  events, and beacon runs: the ingestion queue's bulk unit) and an
+  order-insensitive incremental dataset digest;
 * :mod:`repro.service.window` — the ring-buffered sliding window of
   per-day aggregates the online predictor reads;
 * :mod:`repro.service.predictor` — the online predictor, delegating
@@ -28,7 +29,12 @@ chaos-killed-and-resumed run is bit-identical (predictions, stream
 digest, quarantine digest) to an uninterrupted one.
 """
 
-from repro.service.events import BeaconEvent, PassiveEvent, StreamDigest
+from repro.service.events import (
+    BeaconEvent,
+    BeaconRun,
+    PassiveEvent,
+    StreamDigest,
+)
 from repro.service.ingest import LiveService, ServiceConfig, ServiceResult
 from repro.service.predictor import (
     OnlinePredictor,
@@ -40,6 +46,7 @@ from repro.service.window import PredictionWindow
 
 __all__ = [
     "BeaconEvent",
+    "BeaconRun",
     "LiveService",
     "OnlinePredictor",
     "PassiveEvent",

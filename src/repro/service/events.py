@@ -6,6 +6,16 @@ client /24, the LDNS that resolved it, the target fetched, and the RTT)
 and ``PassiveEvent`` (one passive-log count: queries a front-end served
 for a client on a day).
 
+The ingestion queue carries beacons in bulk as ``BeaconRun`` items: one
+(day, client /24, target) block of float64 RTTs, which is exactly one
+ECS digest of a recorded dataset.  A run of *n* RTTs *is* *n* beacon
+events — it counts *n* toward every stream cursor, event total and kill
+point ordinal, and hashes into the stream digest as those *n* events
+would — so a run is a transport unit, never a different datum.  A
+stream may mix runs, scalar beacon events (a run of one) and passive
+events; :func:`event_count` is the one place that says how many events
+an item stands for.
+
 :class:`StreamDigest` is the service's rolling dataset digest: an
 incremental, order-insensitive fingerprint of every *admitted* event.
 Each event hashes independently (SHA-256 of its canonical encoding) and
@@ -22,6 +32,8 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Union
+
+import numpy as np
 
 from repro.errors import MeasurementError
 
@@ -82,7 +94,68 @@ class PassiveEvent:
         ).encode("utf-8")
 
 
+@dataclass(frozen=True, eq=False)
+class BeaconRun:
+    """A run of beacon measurements sharing one (day, client, target).
+
+    Stands for ``len(rtts)`` :class:`BeaconEvent` values, in ``rtts``
+    order.  Runs compare by identity: ``rtts`` is an array, usually a
+    zero-copy view into a day's sample column, and is never mutated.
+
+    Attributes:
+        day: Campaign day index of every measurement in the run.
+        client_key: The client /24 (the ECS grouping key).
+        ldns_id: The resolver that carried the lookups.
+        target_id: ``'anycast'`` or a front-end id.
+        rtts: One-dimensional float64 RTTs, in stream order.
+    """
+
+    day: int
+    client_key: str
+    ldns_id: str
+    target_id: str
+    rtts: np.ndarray
+
+    def with_rtts(self, rtts: np.ndarray) -> "BeaconRun":
+        """The same (day, client, target) run carrying other RTTs."""
+        return BeaconRun(
+            self.day, self.client_key, self.ldns_id, self.target_id, rtts
+        )
+
+    def encode_prefix(self) -> bytes:
+        """The canonical encoding every event of the run shares.
+
+        ``BeaconEvent.encode()`` of the run's *i*-th event is this
+        prefix followed by ``repr(rtts[i])``.
+        """
+        return (
+            f"beacon\x1f{self.day}\x1f{self.client_key}\x1f{self.ldns_id}"
+            f"\x1f{self.target_id}\x1f"
+        ).encode("utf-8")
+
+
 StreamEvent = Union[BeaconEvent, PassiveEvent]
+
+#: One ingestion-queue item: a beacon run or a scalar event.
+StreamItem = Union[BeaconRun, BeaconEvent, PassiveEvent]
+
+
+def event_count(item: StreamItem) -> int:
+    """How many stream events one queue item stands for."""
+    return len(item.rtts) if isinstance(item, BeaconRun) else 1
+
+
+def as_run(item: Union[BeaconRun, BeaconEvent]) -> BeaconRun:
+    """A beacon item as a run (a scalar event becomes a run of one)."""
+    if isinstance(item, BeaconRun):
+        return item
+    return BeaconRun(
+        day=item.day,
+        client_key=item.client_key,
+        ldns_id=item.ldns_id,
+        target_id=item.target_id,
+        rtts=np.array([item.rtt_ms], dtype=np.float64),
+    )
 
 
 class StreamDigest:
@@ -114,6 +187,22 @@ class StreamDigest:
         )
         self._sum = (self._sum + value) % _DIGEST_MODULUS
         self._count += 1
+
+    def update_run(self, run: BeaconRun) -> None:
+        """Fold every event of an admitted run into the digest.
+
+        Hashes the same per-event bytes :meth:`update` would — the
+        run's shared prefix hashed once and copied, then each value's
+        ``repr`` — so the digest cannot tell a run from its events.
+        """
+        copy = hashlib.sha256(run.encode_prefix()).copy
+        total = 0
+        for text in map(repr, run.rtts.tolist()):
+            h = copy()
+            h.update(text.encode("ascii"))
+            total += int.from_bytes(h.digest(), "big")
+        self._sum = (self._sum + total) % _DIGEST_MODULUS
+        self._count += len(run.rtts)
 
     def merge(self, other: "StreamDigest") -> "StreamDigest":
         """Fold another partial stream's digest into this one."""

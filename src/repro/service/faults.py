@@ -83,13 +83,22 @@ class ServiceFaultInjector:
             seed, "service-fault", attempt
         ) % self.horizon
 
-    def on_event(self, cursor: int) -> None:
-        """Kill point: called once per event with its stream ordinal.
+    def due_in(self, start: int, stop: int) -> Optional[int]:
+        """The ordinal in ``[start, stop)`` where this fault fires, if any.
 
-        Fires when the cursor reaches the derived ordinal.  A resumed
-        run whose restored cursor already passed a later attempt's
-        ordinal fires at the first event it processes — the fault is
-        late, never lost.
+        The ingestion loop asks once per queue item (a run of events
+        spanning those ordinals), processes the events before the
+        returned ordinal, then calls :meth:`on_event` with it.
+        """
+        if self.kind is None or self.fired or stop <= self.fire_at:
+            return None
+        return max(start, self.fire_at)
+
+    def on_event(self, cursor: int) -> None:
+        """Kill point at one event's stream ordinal.
+
+        Fires when the cursor reaches the derived ordinal.  A cursor
+        already past it fires too — the fault is late, never lost.
         """
         if self.kind is None or self.fired or cursor < self.fire_at:
             return

@@ -12,6 +12,17 @@ strictly deterministic: event order on the queue is the source order,
 every state change is a pure function of the admitted-event stream, and
 wall-clock only ever affects pacing and telemetry, never data.
 
+The queue's unit is a :class:`~repro.service.events.BeaconRun` — one
+(day, client /24, target) block of RTTs — not an event: the gate, the
+window and the stream digest each take a whole run per call, and the
+consumer yields to the event loop once per run.  Runs are transport
+only.  Every count the loop keeps is in *events*: the stream cursor,
+``events_total``, the fault injector's kill point ordinals and the
+``checkpoint_every_events`` cadence all land on exact event ordinals,
+splitting a run where one falls inside it, so a run-at-a-time loop
+ends bit-identical to an event-at-a-time one.  Scalar events (passive
+counts, hand-built beacon events) ride the same path as runs of one.
+
 Crash safety is checkpoint-and-replay: the loop periodically spills its
 whole state (cursor, window, quarantine, stream digest, closed-day
 predictions) through :mod:`repro.service.checkpoint`, and a restarted
@@ -50,10 +61,11 @@ from repro.service.checkpoint import (
     write_service_checkpoint,
 )
 from repro.service.events import (
-    BeaconEvent,
     PassiveEvent,
     StreamDigest,
-    StreamEvent,
+    StreamItem,
+    as_run,
+    event_count,
 )
 from repro.service.faults import ServiceFaultInjector, compile_service_plan
 from repro.service.predictor import (
@@ -69,8 +81,8 @@ from repro.simulation.clock import SECONDS_PER_DAY
 from repro.telemetry import Telemetry, get_logger
 from repro.telemetry.trace import SERVICE_LANE
 
-#: Default bound of the ingestion queue (events in flight between the
-#: producer and the consumer).
+#: Default bound of the ingestion queue (queue items — beacon runs or
+#: scalar events — in flight between the producer and the consumer).
 DEFAULT_QUEUE_SIZE = 256
 
 #: Service retry budget: how many injected transient failures the
@@ -98,14 +110,16 @@ class ServiceConfig:
         resume: Restore from ``checkpoint_dir`` before consuming (a
             missing or non-matching checkpoint starts fresh).
         checkpoint_every_events: Extra mid-day spill cadence in events
-            (0 = day-close spills only).
+            (0 = day-close spills only); a spill point inside a beacon
+            run splits the run there.
         seed: Scenario seed (drives fault firing points).
         fault_plan: Optional deterministic fault schedule; ``crash`` and
             ``exception`` kinds fire inside the loop.
         speed: Replay pacing, in simulated seconds per wall-clock second
             (86_400 = one day per second; 0 = unpaced, as fast as the
             consumer drains).
-        queue_size: Bound of the ingestion queue.
+        queue_size: Bound of the ingestion queue, in items (beacon
+            runs or scalar events) in flight, not in events.
     """
 
     window_days: int = 1
@@ -337,7 +351,7 @@ class LiveService:
         self._since_checkpoint = 0
 
     # ------------------------------------------------------------------
-    # Per-event processing (synchronous, deterministic)
+    # Per-item processing (synchronous, deterministic)
     # ------------------------------------------------------------------
 
     def _close_day(self, day: int) -> None:
@@ -389,50 +403,79 @@ class LiveService:
         for stale in range(self._current_day, day):
             self._close_day(stale)
 
-    def _process(self, event: StreamEvent) -> None:
-        self._advance_day_to(event.day)
-        if isinstance(event, BeaconEvent):
-            admitted = self.gate.admit(
-                event.day, event.client_key, -1, event.rtt_ms
-            )
-            if admitted is None:
-                return
-            if admitted != event.rtt_ms:
-                # Repair policy clamped the value: everything downstream
-                # (window, digest) sees the admitted record.
-                event = dataclasses.replace(event, rtt_ms=admitted)
-            if self.window.observe(event):
-                self.stream.update(event)
-                self._beacons_admitted += 1
-                if event.day == self._current_day:
-                    self._day_beacons += 1
-        else:
+    def _ingest(self, item: StreamItem, start: int, stop: int) -> None:
+        """Gate, window and digest events ``[start, stop)`` of one item."""
+        if isinstance(item, PassiveEvent):
             admitted_count = self.gate.admit_count(
-                event.day, event.client_key, event.frontend_id, event.count
+                item.day, item.client_key, item.frontend_id, item.count
             )
             if admitted_count is None:
                 return
-            if admitted_count != event.count:
-                event = dataclasses.replace(event, count=admitted_count)
-            self.stream.update(event)
+            if admitted_count != item.count:
+                item = dataclasses.replace(item, count=admitted_count)
+            self.stream.update(item)
             self._passive_admitted += 1
-            if event.day == self._current_day:
+            if item.day == self._current_day:
                 self._day_passive += 1
-
-    def _step(self, cursor: int, event: StreamEvent) -> None:
-        if self._injector is not None:
-            self._injector.on_event(cursor)
-        if cursor < self._start_cursor:
-            # Replayed tail of an already-checkpointed prefix: the
-            # restored state covers it, so skipping is what makes the
-            # at-least-once replay exactly-once in effect.
             return
-        self._process(event)
-        self._cursor = cursor + 1
-        self._since_checkpoint += 1
-        every = self.config.checkpoint_every_events
-        if every and self._since_checkpoint >= every:
-            self._write_checkpoint()
+        run = as_run(item)
+        rtts = run.rtts
+        if stop - start != len(rtts):
+            rtts = rtts[start:stop]
+        admitted = self.gate.admit_run(run.day, run.client_key, rtts)
+        if not len(admitted):
+            return
+        if admitted is not run.rtts:
+            # A segment, or repair clamps and drops: everything
+            # downstream (window, digest) sees the admitted records.
+            run = run.with_rtts(admitted)
+        if self.window.observe_run(run):
+            self.stream.update_run(run)
+            self._beacons_admitted += len(admitted)
+            if run.day == self._current_day:
+                self._day_beacons += len(admitted)
+
+    def _step(self, cursor: int, item: StreamItem) -> None:
+        """Process one queue item whose first event has ordinal ``cursor``.
+
+        Walks the item's event ordinals ``[cursor, cursor + n)`` in
+        segments cut wherever the event-at-a-time loop would act
+        between two events: the resume cursor, the kill point and each
+        ``checkpoint_every_events`` spill.
+        """
+        end = cursor + event_count(item)
+        fire_at = (
+            None
+            if self._injector is None
+            else self._injector.due_in(cursor, end)
+        )
+        stop = end if fire_at is None else fire_at
+        # Ordinals below the resume cursor are the replayed tail of an
+        # already-checkpointed prefix: the restored state covers them,
+        # so skipping is what makes the at-least-once replay
+        # exactly-once in effect.
+        position = max(cursor, self._start_cursor)
+        if position < stop:
+            self._advance_day_to(item.day)
+        every = (
+            self.config.checkpoint_every_events
+            if self.config.checkpoint_dir is not None
+            else 0
+        )
+        while position < stop:
+            segment_stop = stop
+            if every:
+                segment_stop = min(
+                    stop, position + every - self._since_checkpoint
+                )
+            self._ingest(item, position - cursor, segment_stop - cursor)
+            self._since_checkpoint += segment_stop - position
+            position = self._cursor = segment_stop
+            if every and self._since_checkpoint >= every:
+                self._write_checkpoint()
+        if fire_at is not None:
+            assert self._injector is not None
+            self._injector.on_event(fire_at)
 
     def _finish(self) -> None:
         first = 0 if self._current_day is None else self._current_day
@@ -445,7 +488,7 @@ class LiveService:
     # ------------------------------------------------------------------
 
     async def _run_attempt(
-        self, events: Sequence[StreamEvent]
+        self, events: Sequence[StreamItem]
     ) -> None:
         cfg = self.config
         self._attempt_setup()
@@ -459,17 +502,19 @@ class LiveService:
             )
             with span:
                 last_day: Optional[int] = None
-                for cursor, event in enumerate(events):
+                cursor = 0
+                for item in events:
                     if (
                         cfg.speed > 0
                         and last_day is not None
-                        and event.day > last_day
+                        and item.day > last_day
                     ):
                         await asyncio.sleep(
-                            SECONDS_PER_DAY * (event.day - last_day) / cfg.speed
+                            SECONDS_PER_DAY * (item.day - last_day) / cfg.speed
                         )
-                    last_day = event.day
-                    await queue.put((cursor, event))
+                    last_day = item.day
+                    await queue.put((cursor, item))
+                    cursor += event_count(item)
                 await queue.put(None)
 
         async def consume() -> None:
@@ -480,13 +525,13 @@ class LiveService:
             )
             with span:
                 while True:
-                    item = await queue.get()
-                    if item is None:
+                    entry = await queue.get()
+                    if entry is None:
                         break
-                    cursor, event = item
-                    self._step(cursor, event)
-                    # Yield so the producer interleaves even on an
-                    # unpaced replay — the loop is genuinely concurrent.
+                    self._step(*entry)
+                    # Yield once per item so the producer interleaves
+                    # even on an unpaced replay — the loop is genuinely
+                    # concurrent.
                     await asyncio.sleep(0)
 
         producer = asyncio.create_task(produce())
@@ -537,8 +582,12 @@ class LiveService:
         # attempt 0 — hitting the same deterministic crash forever.
         self._write_checkpoint()
 
-    async def run(self, events: Sequence[StreamEvent]) -> ServiceResult:
+    async def run(self, events: Sequence[StreamItem]) -> ServiceResult:
         """Consume the stream to completion and return the run's result.
+
+        ``events`` is the source in stream order: beacon runs and scalar
+        events, each standing for :func:`~repro.service.events
+        .event_count` events.
 
         Transient injected failures restart the loop (restoring the
         latest checkpoint when one exists) up to
@@ -547,7 +596,7 @@ class LiveService:
         ``--resume-from`` invocation) owns the restart.
         """
         self._started = time.monotonic()
-        self._horizon = max(1, len(events))
+        self._horizon = max(1, sum(event_count(item) for item in events))
         telemetry = self.telemetry
         old_lane = None
         if telemetry is not None:
@@ -574,7 +623,7 @@ class LiveService:
                 telemetry.trace.lane = old_lane
                 self._publish_counters()
 
-    def run_stream(self, events: Sequence[StreamEvent]) -> ServiceResult:
+    def run_stream(self, events: Sequence[StreamItem]) -> ServiceResult:
         """Synchronous wrapper around :meth:`run`."""
         return asyncio.run(self.run(events))
 

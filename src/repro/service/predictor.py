@@ -64,10 +64,12 @@ class OnlinePredictor:
         """
         bucket = self.window.aggregates_for(day)
         if bucket is None:
-            if self.window.days and day < self.window.days[0]:
+            evicted_through = self.window.evicted_through
+            if evicted_through is not None and day <= evicted_through:
                 raise PredictionError(
                     f"day {day} was evicted from the window "
-                    f"(retained: {self.window.days})"
+                    f"(evicted through day {evicted_through}, "
+                    f"retained: {self.window.days})"
                 )
             return {grouping: {} for grouping in GROUPINGS}
         ecs, ldns = bucket

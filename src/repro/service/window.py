@@ -16,11 +16,13 @@ batch scores agree *bit for bit* — the differential-oracle property
 ``tests/test_service_replay.py`` asserts.
 
 The window itself is order-free: :meth:`observe` commutes across
-events, eviction drops whole days without touching retained ones, and
-:meth:`state_digest` hashes a fully-sorted traversal — so window state
-is a pure function of the in-window event multiset, invariant under
-arrival order, shard interleaving, and eviction batching
-(``tests/test_service_window.py``).
+events (and :meth:`observe_run`, the bulk path the ingestion loop
+takes, folds a whole beacon run exactly as ``observe`` would fold its
+events one by one), eviction drops whole days without touching
+retained ones, and :meth:`state_digest` hashes a fully-sorted
+traversal — so window state is a pure function of the in-window event
+multiset, invariant under arrival order, shard interleaving, and
+eviction batching (``tests/test_service_window.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
     DEFAULT_RELATIVE_ACCURACY,
 )
-from repro.service.events import BeaconEvent
+from repro.service.events import BeaconEvent, BeaconRun
 
 #: Grouping labels of the two aggregate planes each day bucket holds.
 GROUPINGS = ("ecs", "ldns")
@@ -125,6 +127,36 @@ class PredictionWindow:
         ldns.observe(event.day, event.ldns_id, event.target_id, value)
         return True
 
+    def observe_run(self, run: BeaconRun) -> bool:
+        """Fold an admitted beacon run into its day bucket.
+
+        The bulk counterpart of :meth:`observe`, equivalent to observing
+        the run's events one by one: a run for an evicted day is dropped
+        whole (every event counts a late drop), and an empty run changes
+        nothing.
+        """
+        if (
+            self._evicted_through is not None
+            and run.day <= self._evicted_through
+        ):
+            self.late_drops += len(run.rtts)
+            return False
+        if not len(run.rtts):
+            return True
+        bucket = self._days.get(run.day)
+        if bucket is None:
+            bucket = self._new_bucket()
+            self._days[run.day] = bucket
+        ecs, ldns = bucket
+        bounds = (float(run.rtts.min()), float(run.rtts.max()))
+        ecs.observe_many(
+            run.day, run.client_key, run.target_id, run.rtts, bounds
+        )
+        ldns.observe_many(
+            run.day, run.ldns_id, run.target_id, run.rtts, bounds
+        )
+        return True
+
     def advance_to(self, day: int) -> Tuple[int, ...]:
         """Evict buckets older than the window ending at ``day``.
 
@@ -147,6 +179,15 @@ class PredictionWindow:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    @property
+    def evicted_through(self) -> Optional[int]:
+        """Highest evicted day index (``None`` before the first advance).
+
+        Every day at or below it is gone for good, whether or not the
+        window currently retains any newer day.
+        """
+        return self._evicted_through
 
     @property
     def days(self) -> Tuple[int, ...]:

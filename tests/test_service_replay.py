@@ -33,7 +33,7 @@ from repro.measurement.aggregate import (
 from repro.measurement.export import save_dataset
 from repro.measurement.logs import PassiveLog
 from repro.service import (
-    BeaconEvent,
+    BeaconRun,
     LiveService,
     PassiveEvent,
     ServiceConfig,
@@ -53,6 +53,35 @@ ENGINES = ("reference", "matrix")
 
 SKETCH_THRESHOLD = 16
 SKETCH_ACCURACY = 0.01
+
+#: (predictions, stream, quarantine) digests of each engine's replay, in
+#: exact and sketch-threshold windows, captured from the event-at-a-time
+#: ingestion loop: the run-at-a-time loop must reproduce them exactly.
+PINNED_DIGESTS = {
+    ("reference", "exact"): (
+        "031d54585a70961116e84802c44890c410bf97bc210dee313cbf7ee6ae03c017",
+        "e17fd0a5735687ba4b52421afee677dfd74b4d206f55c18e12c2259b1f35daba",
+        "c8c0f5a9a5e04654d513d05083de520ebe2664bc14b1027e893fff40fe2741f7",
+    ),
+    ("reference", "sketch"): (
+        "1d0160e7fc255ee1cde3f84c2b7ec839a019cebfaf36cdfbc64ef9f8d99e54eb",
+        "e17fd0a5735687ba4b52421afee677dfd74b4d206f55c18e12c2259b1f35daba",
+        "c8c0f5a9a5e04654d513d05083de520ebe2664bc14b1027e893fff40fe2741f7",
+    ),
+    ("matrix", "exact"): (
+        "95f30dfc7bed148e658de62ef8cb94c703b4ab052ce14f47151f8e981fc8bd14",
+        "915cb73156b473bae73fc00c1772ae42f244712cfff48fd8b70c7a5a3706c49c",
+        "c8c0f5a9a5e04654d513d05083de520ebe2664bc14b1027e893fff40fe2741f7",
+    ),
+    ("matrix", "sketch"): (
+        "374f51889450bd5c2c07011531ff07d3e0b448c6412dfb85cd883a44a4c8ce61",
+        "915cb73156b473bae73fc00c1772ae42f244712cfff48fd8b70c7a5a3706c49c",
+        "c8c0f5a9a5e04654d513d05083de520ebe2664bc14b1027e893fff40fe2741f7",
+    ),
+}
+
+#: Events each engine's replay stream carries.
+REPLAY_EVENTS = 26004
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +144,29 @@ class TestExactOracle:
         assert first.predictions_digest == second.predictions_digest
         assert first.stream_digest == second.stream_digest
         assert first.quarantine_digest == second.quarantine_digest
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
+    def test_replay_digests_match_the_pinned_literals(
+        self, engine_dataset, mode, request
+    ):
+        engine = request.node.callspec.params["engine_dataset"]
+        overrides = (
+            {
+                "sketch_threshold": SKETCH_THRESHOLD,
+                "sketch_accuracy": SKETCH_ACCURACY,
+            }
+            if mode == "sketch"
+            else {}
+        )
+        _, result = run_service(engine_dataset, **overrides)
+        assert (
+            result.predictions_digest,
+            result.stream_digest,
+            result.quarantine_digest,
+        ) == PINNED_DIGESTS[(engine, mode)]
+        assert result.events_total == REPLAY_EVENTS
 
 
 class TestSketchOracle:
@@ -216,9 +268,21 @@ class TestCliReplay:
 class TestEventRecovery:
     def test_stream_covers_every_recorded_sample(self, engine_dataset):
         events = events_from_dataset(engine_dataset)
-        beacons = [e for e in events if isinstance(e, BeaconEvent)]
+        runs = [e for e in events if isinstance(e, BeaconRun)]
         passive = [e for e in events if isinstance(e, PassiveEvent)]
-        assert len(beacons) == engine_dataset.measurement_count
+        assert sum(len(run.rtts) for run in runs) == (
+            engine_dataset.measurement_count
+        )
+        # One run per recorded ECS digest, samples in stored order.
+        ecs = engine_dataset.ecs_aggregates
+        for run in runs:
+            digest = ecs.digest(run.day, run.client_key, run.target_id)
+            assert run.rtts.tolist() == digest.values_view().tolist()
+        assert len(runs) == sum(
+            len(ecs.targets_for(day, group))
+            for day in ecs.days
+            for group in ecs.groups_on(day)
+        )
         assert passive
         days = [e.day for e in events]
         assert days == sorted(days)

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import PredictionError
 from repro.service import BeaconEvent, OnlinePredictor, StreamDigest
 from repro.service.window import PredictionWindow
 
@@ -185,6 +186,36 @@ class TestEvictedEventsNeverInfluence:
             assert window.observe(event) is False
         assert window.late_drops == len(stragglers)
         assert window.state_digest() == before
+
+
+    @pytest.mark.parametrize("restored", [False, True])
+    def test_tick_on_an_evicted_day_raises_with_an_empty_window(
+        self, restored
+    ):
+        """Eviction is judged by the evicted horizon, not by the oldest
+        retained day: with day 0 closed and evicted and no day-1 event
+        yet, the window is empty but day 0 is still gone."""
+        window = PredictionWindow(window_days=1)
+        online = OnlinePredictor(window)
+        window.observe(
+            BeaconEvent(
+                day=0,
+                client_key=CLIENTS[0][0],
+                ldns_id=CLIENTS[0][1],
+                target_id="anycast",
+                rtt_ms=12.5,
+            )
+        )
+        online.close_day(0)
+        window.advance_to(1)
+        assert window.days == ()
+        if restored:
+            window = PredictionWindow.from_obj(window.to_obj())
+            online = OnlinePredictor(window)
+        assert window.evicted_through == 0
+        with pytest.raises(PredictionError, match="evicted"):
+            online.tick(0)
+        assert online.tick(1) == {"ecs": {}, "ldns": {}}
 
 
 class TestCheckpointRoundTrip:

@@ -47,6 +47,14 @@ matrix dataset and fails if hashing it takes more than
 against the fingerprint drifting back to per-sample work.  The ratio is
 recorded in the ``--rss-manifest-out`` manifest.
 
+The ingest leg (always on) replays the serial matrix dataset through
+the live service (``LiveService.run_stream(events_from_dataset(...))``)
+under the same tracemalloc probe as the campaign it is compared with,
+and fails if ingestion takes more than :data:`MAX_INGEST_RATIO` times
+that campaign's wall time — the guard against the service loop drifting
+back to per-event queue hops.  The ratio is recorded in the
+``--rss-manifest-out`` manifest under ``ingest_leg``.
+
 The memory leg (``--memory-populations A,B``) runs the bounded campaign
 at two population sizes with a tracemalloc probe around each and fails
 if peak traced memory grows super-linearly in the population — the
@@ -74,6 +82,7 @@ from repro.analysis.poor_paths import poor_path_prevalence
 from repro.clients.population import ClientPopulationConfig
 from repro.faults import FaultPlan
 from repro.measurement.export import recover_dataset, save_dataset
+from repro.service import LiveService, ServiceConfig, events_from_dataset
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.episodes import OverloadPlan
@@ -92,6 +101,12 @@ from repro.telemetry import (
 #: as a multiple of that campaign's wall time (column hashing runs well
 #: under 0.5x; per-sample text hashing ran at 2.4-2.8x).
 MAX_DIGEST_RATIO = 1.0
+
+#: Most replaying the serial matrix dataset through the live service may
+#: take, as a multiple of that campaign's wall time (at the default
+#: 200 /24s x 3 days on a 2-core host, one queue hop per beacon run
+#: measured 2.3x; one per event measured 7.9x).
+MAX_INGEST_RATIO = 4.0
 
 
 class _TimedRun:
@@ -218,6 +233,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         matrix_digest = matrix.dataset.digest()
         digest_seconds = time.perf_counter() - digest_started
     digest_ratio = digest_seconds / matrix.seconds
+    with MemoryProbe() as ingest_probe:
+        ingest_started = time.perf_counter()
+        ingest = LiveService(
+            ServiceConfig(), num_days=args.days
+        ).run_stream(events_from_dataset(matrix.dataset))
+        ingest_seconds = time.perf_counter() - ingest_started
+    ingest_ratio = ingest_seconds / matrix.seconds
 
     sharded_runner = ParallelCampaignRunner(
         scenario, CampaignConfig(engine="matrix"), workers=2
@@ -264,6 +286,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{digest_ratio:.2f}x campaign wall "
         f"(limit {MAX_DIGEST_RATIO:.2f}x; peak traced memory "
         f"{digest_probe.peak_bytes / 1e6:.1f} MB)"
+    )
+    print(
+        f"  matrix dataset replay: {ingest.events_total:,} events in "
+        f"{ingest_seconds:.3f}s = {ingest_ratio:.2f}x campaign wall "
+        f"(limit {MAX_INGEST_RATIO:.2f}x; peak traced memory "
+        f"{ingest_probe.peak_bytes / 1e6:.1f} MB)"
     )
     print("  matrix serial == 2-worker digest: ok")
     print("  matrix serial == 2-worker merged telemetry counters: ok")
@@ -445,6 +473,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "campaign_seconds": matrix.seconds,
                     "ratio": digest_ratio,
                     "limit": MAX_DIGEST_RATIO,
+                },
+                "ingest_leg": {
+                    "ingest_seconds": ingest_seconds,
+                    "events": ingest.events_total,
+                    "peak_traced_bytes": ingest_probe.peak_bytes,
+                    "campaign_seconds": matrix.seconds,
+                    "ratio": ingest_ratio,
+                    "limit": MAX_INGEST_RATIO,
                 },
             },
         )
@@ -639,6 +675,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"FAIL: dataset digest took {digest_ratio:.2f}x the matrix "
             f"campaign's wall time (limit {MAX_DIGEST_RATIO:.2f}x)"
+        )
+        return 1
+    if ingest_ratio > MAX_INGEST_RATIO:
+        print(
+            f"FAIL: service replay took {ingest_ratio:.2f}x the matrix "
+            f"campaign's wall time (limit {MAX_INGEST_RATIO:.2f}x)"
         )
         return 1
     return 0
