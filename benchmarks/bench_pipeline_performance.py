@@ -174,9 +174,8 @@ def test_campaign_engines_report():
 
     Two engines are recorded: reference (scalar, one fetch at a time)
     and matrix (whole-day cross-client draws); they are statistically
-    equivalent, not bit-identical.  The analysis read path is timed too:
-    one framed-JSON parse against one memory-mapped columnar sidecar
-    load of the same export.
+    equivalent, not bit-identical.  The export path is timed too: one
+    save and one load of the matrix dataset's framed export.
     """
     config = ScenarioConfig(
         seed=3,
@@ -272,13 +271,11 @@ def test_campaign_engines_report():
 
 
 def _analysis_load_report(dataset):
-    """Time the analysis read path: framed parse vs columnar sidecar.
+    """Time the export path: one save and one load of the framed export.
 
-    Saves the campaign's dataset once (which writes both the framed
-    export and its ``.cols`` sidecar), then times a best-of-five framed
-    parse against a best-of-five memory-mapped columnar load and
-    asserts both return the same dataset.  A collection runs before
-    each timed load so the generations left behind by the campaign runs
+    Each is best of five, and both must round-trip the dataset exactly
+    (same ``StudyDataset.digest()``).  A collection runs before each
+    timed call so the generations left behind by the campaign runs
     above don't trip a full GC inside one timing window and not another.
     """
     import gc
@@ -287,37 +284,27 @@ def _analysis_load_report(dataset):
 
     from repro.measurement.export import load_dataset, save_dataset
 
+    save_seconds, load_seconds = [], []
     with tempfile.TemporaryDirectory(prefix="bench-load-") as tmpdir:
         path = os.path.join(tmpdir, "dataset.json")
-        save_dataset(dataset, path)
-        export_mb = os.path.getsize(path) / (1024.0 * 1024.0)
-        sidecar_mb = os.path.getsize(path + ".cols") / (1024.0 * 1024.0)
-        framed_seconds, columnar_seconds = [], []
         for _ in range(5):
             gc.collect()
             start = time.perf_counter()
-            framed = load_dataset(path, columnar=False)
-            framed_seconds.append(time.perf_counter() - start)
+            save_dataset(dataset, path)
+            save_seconds.append(time.perf_counter() - start)
             gc.collect()
             start = time.perf_counter()
-            columnar = load_dataset(path)
-            columnar_seconds.append(time.perf_counter() - start)
-    assert framed.digest() == dataset.digest()
-    assert columnar.digest() == dataset.digest()
-    framed_best = min(framed_seconds)
-    columnar_best = min(columnar_seconds)
+            loaded = load_dataset(path)
+            load_seconds.append(time.perf_counter() - start)
+        export_mb = os.path.getsize(path) / (1024.0 * 1024.0)
+        files = os.listdir(tmpdir)
+    assert files == ["dataset.json"], files
+    assert loaded.digest() == dataset.digest()
     return [
-        "analysis load (same export, best of 5):",
+        f"export (framed column blocks, {export_mb:.1f} MB, best of 5):",
+        f"  save: {min(save_seconds):6.3f}s",
         (
-            f"  framed JSON parse:      {framed_best:6.3f}s "
-            f"({export_mb:.1f} MB export)"
-        ),
-        (
-            f"  columnar sidecar mmap:  {columnar_best:6.3f}s "
-            f"({sidecar_mb:.1f} MB sidecar)"
-        ),
-        (
-            f"  columnar speedup: {framed_best / columnar_best:.2f}x "
+            f"  load: {min(load_seconds):6.3f}s "
             "(identical StudyDataset.digest())"
         ),
     ]

@@ -42,7 +42,7 @@ from repro.core.study import AnycastStudy
 from repro.faults import FaultPlan
 from repro.faults.inject import InjectedCrashError
 from repro.geo.coords import haversine_km
-from repro.errors import StorageError
+from repro.errors import MeasurementError, StorageError
 from repro.measurement.export import load_dataset, recover_dataset, save_dataset
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
@@ -630,6 +630,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except StorageError as error:
         print(f"damaged dataset: {error}", file=sys.stderr)
         return 2
+    except MeasurementError as error:
+        print(f"cannot load dataset: {error}", file=sys.stderr)
+        return 2
     return _run_service(args, dataset, "replay")
 
 
@@ -753,6 +756,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"{', torn tail' if report.torn_tail else ''})",
             file=sys.stderr,
         )
+    except MeasurementError as error:
+        print(f"cannot load dataset: {error}", file=sys.stderr)
+        return 2
     sections = {
         "fig3": lambda: anycast_penalty_ccdf(dataset).format(),
         "fig5": lambda: poor_path_prevalence(dataset).format(),

@@ -410,7 +410,8 @@ class DayColumns(NamedTuple):
     """One day of a :class:`GroupedDailyAggregates` sink as columns.
 
     Attributes:
-        keys: Every ``(group, target)`` holding a digest that day, sorted.
+        keys: Every ``(group, target)`` holding a digest that day, sorted
+            (or in :meth:`GroupedDailyAggregates.iter_day` order).
         counts: int64 sample count of each key's digest (both modes).
         sketches: ``(key index, sketch)`` for the promoted digests, in
             key order.
@@ -602,22 +603,25 @@ class GroupedDailyAggregates:
             for target_id, digest in per_group.items():
                 yield group, target_id, digest
 
-    def day_columns(self, day: int) -> DayColumns:
-        """One day's digests as sorted keys, counts and one sample array.
+    def day_columns(self, day: int, ordered: bool = True) -> DayColumns:
+        """One day's digests as keys, counts and one sample array.
 
         The exact samples are joined straight from the digests' C-double
         buffers (one copy, no per-sample Python work), which is what
         lets :meth:`repro.simulation.dataset.StudyDataset.digest` hash
-        a day in a handful of numpy calls.
+        a day in a handful of numpy calls.  Keys are sorted; with
+        ``ordered=False`` they keep :meth:`iter_day` order instead, so
+        :meth:`load_day_columns` rebuilds a sink that iterates as this
+        one does (exports and shard transport).
         """
         per_day = self._days.get(day, {})
         keys: List[Tuple[str, str]] = []
         counts: List[int] = []
         sketches: List[Tuple[int, LatencySketch]] = []
         buffers: List[array] = []
-        for group in sorted(per_day):
+        for group in sorted(per_day) if ordered else per_day:
             per_group = per_day[group]
-            for target_id in sorted(per_group):
+            for target_id in sorted(per_group) if ordered else per_group:
                 digest = per_group[target_id]
                 samples = digest._values
                 if samples is None:
@@ -633,6 +637,78 @@ class GroupedDailyAggregates:
             counts=np.asarray(counts, dtype=np.int64),
             sketches=sketches,
             samples=np.frombuffer(b"".join(buffers), dtype=np.float64),
+        )
+
+    def load_day_columns(self, day: int, columns: DayColumns) -> None:
+        """Rebuild one day's digests from :meth:`day_columns` output.
+
+        Digests are created in ``columns.keys`` order, so :meth:`iter_day`
+        replays the order the columns were taken in; a key already held
+        that day is replaced, and no keys leave the day absent.  Sketch
+        rows wrap their sketches.  Every exact digest takes the next
+        ``count`` samples, and all of them land through one ``reduceat``
+        pair (the extrema) plus one :meth:`observe_runs` call, instead of
+        a Python ``extend`` and two tiny reductions per digest.
+
+        Raises:
+            MeasurementError: when the columns disagree with each other
+                (key/count lengths, sketch counts, or the sample total).
+        """
+        keys, counts, sketches, samples = columns
+        exact_counts = np.array(counts, dtype=np.int64)
+        if len(exact_counts) != len(keys) or (exact_counts < 0).any():
+            raise MeasurementError(
+                f"day {day}: count column does not match its "
+                f"{len(keys)} keys"
+            )
+        promoted: Dict[int, LatencyDigest] = {}
+        for index, sketch in sketches:
+            if not 0 <= index < len(keys) or sketch.count != counts[index]:
+                raise MeasurementError(
+                    f"day {day}: sketch row {index} disagrees with the "
+                    "key/count columns"
+                )
+            exact_counts[index] = 0
+            promoted[index] = LatencyDigest.from_sketch(
+                sketch,
+                exact_threshold=self._exact_threshold,
+                relative_accuracy=self._relative_accuracy,
+                max_buckets=self._max_buckets,
+            )
+        stops = np.cumsum(exact_counts)
+        total = int(stops[-1]) if len(stops) else 0
+        if total != len(samples):
+            raise MeasurementError(
+                f"day {day}: exact counts sum to {total} but "
+                f"{len(samples)} samples are present"
+            )
+        if not keys:
+            return
+        per_day = self._days.setdefault(day, {})
+        for index, (group, target_id) in enumerate(keys):
+            per_group = per_day.get(group)
+            if per_group is None:
+                per_group = per_day[group] = {}
+            digest = promoted.get(index)
+            per_group[target_id] = (
+                self._new_digest() if digest is None else digest
+            )
+        runs = np.flatnonzero(exact_counts)
+        if not runs.size:
+            return
+        run_stops = stops[runs]
+        starts = run_stops - exact_counts[runs]
+        lows = np.minimum.reduceat(samples, starts).tolist()
+        highs = np.maximum.reduceat(samples, starts).tolist()
+        self.observe_runs(
+            day,
+            [
+                (*keys[index], start, stop, lows[i], highs[i])
+                for i, (index, start, stop) in enumerate(
+                    zip(runs.tolist(), starts.tolist(), run_stops.tolist())
+                )
+            ],
+            samples,
         )
 
     def sketch_stats(self) -> Tuple[int, int, int, int, int]:
@@ -849,23 +925,67 @@ class RequestDiffLog:
                 )
             self._total += n
             return
-        self._day.frombytes(
-            np.full(n, day, dtype=np.int32).tobytes()
+        self.append_columns(
+            np.full(n, day, dtype=np.int32),
+            client_indices,
+            region_codes,
+            anycast_rtts_ms,
+            best_unicast_rtts_ms,
         )
-        self._client_index.frombytes(
-            np.ascontiguousarray(client_indices, dtype=np.int32).tobytes()
+
+    def append_columns(
+        self,
+        days: np.ndarray,
+        client_indices: np.ndarray,
+        region_codes: np.ndarray,
+        anycast_rtts_ms: np.ndarray,
+        best_unicast_rtts_ms: np.ndarray,
+    ) -> None:
+        """Append rows given as :meth:`columns`-shaped arrays (exact mode).
+
+        The bulk inverse of :meth:`columns` (exports and shard transport
+        restore logs through it): each column is cast to its storage
+        dtype and appended as one buffer.  ``region_codes`` must index
+        this log's :attr:`region_names`.
+
+        Raises:
+            MeasurementError: in bounded mode, on columns of unequal
+                length, or on a region code with no registered name.
+        """
+        if self._bounded:
+            raise MeasurementError(
+                "bounded diff log retains no per-request rows"
+            )
+        columns = (
+            days,
+            client_indices,
+            region_codes,
+            anycast_rtts_ms,
+            best_unicast_rtts_ms,
         )
-        self._region_code.frombytes(
-            np.ascontiguousarray(region_codes, dtype=np.int8).tobytes()
-        )
-        self._anycast.frombytes(
-            np.ascontiguousarray(anycast_rtts_ms, dtype=np.float32).tobytes()
-        )
-        self._best_unicast.frombytes(
-            np.ascontiguousarray(
-                best_unicast_rtts_ms, dtype=np.float32
-            ).tobytes()
-        )
+        if len({len(column) for column in columns}) > 1:
+            raise MeasurementError("column batches must have equal length")
+        if len(region_codes) and not (
+            0 <= int(np.min(region_codes))
+            and int(np.max(region_codes)) < len(self._region_names)
+        ):
+            raise MeasurementError(
+                "region code outside the registered region names"
+            )
+        for target, column, dtype in zip(
+            (
+                self._day,
+                self._client_index,
+                self._region_code,
+                self._anycast,
+                self._best_unicast,
+            ),
+            columns,
+            (np.int32, np.int32, np.int8, np.float32, np.float32),
+        ):
+            target.frombytes(
+                np.ascontiguousarray(column, dtype=dtype).tobytes()
+            )
 
     def __len__(self) -> int:
         return self._total if self._bounded else len(self._day)

@@ -6,37 +6,43 @@ it take milliseconds.  These helpers serialize a
 once and analyzed many times — the same split the paper's backend
 storage provided.
 
-Three on-disk formats:
+One on-disk format, version 4: a crash-safe framed segment file
+(:mod:`repro.measurement.storage`) — length + CRC32 JSON lines, a footer,
+temp file + atomic rename — whose data frames are column blocks:
 
-* **v3 (current)** — the framed segment layout of v2 extended with
-  sketch-aware frames: aggregate rows may carry a sketch object instead
-  of packed raw samples, bounded diff logs write per-(day, region)
-  ``diff_sketches`` frames instead of row chunks, bounded passive logs
-  write per-day ``passive_totals`` frames, and the header records the
-  sketch configuration so loads rebuild sinks in the right mode.
-* **v2** — a crash-safe framed segment file
-  (:mod:`repro.measurement.storage`): a header frame, client chunks,
-  per-day aggregate/passive frames, request-diff chunks, and a footer,
-  each line independently length- and CRC-verified, written via temp
-  file + atomic rename.  Still readable; exact-mode datasets written
-  today differ from v2 only by the header's version and sketch fields.
-  :func:`load_dataset` reads framed files strictly;
-  :func:`recover_dataset` salvages damaged ones — skipping corrupt
-  frames, truncating torn tails — and reports exactly what survived.
-* **v1 (legacy)** — a single JSON document.  Still readable
-  (:func:`load_dataset` sniffs the format), never written, and unable
-  to represent sketch-mode sinks (attempting to raises).
+* a ``header`` frame: calendar, counts, coverage, sink groupings, the
+  sketch configuration, the request-diff region names and the load
+  summary;
+* ``clients`` frames of up to 500 client records each;
+* per day, one ``aggregates`` block per sink (ECS, LDNS): ``keys``
+  (``[group, target]`` pairs in :meth:`GroupedDailyAggregates.iter_day`
+  order), ``counts`` (int64 sample counts), ``samples`` (every exact
+  sample concatenated as one float64 buffer) and ``sketches``
+  (``[key index, sketch]`` for promoted digests); then a ``passive``
+  frame (or ``passive_totals`` for a bounded passive log);
+* bounded request-diff logs write per-day ``diff_sketches`` frames;
+  exact ones write ``request_diffs`` chunks of up to 100,000 rows as
+  five little-endian columns (``<i4`` day, ``<i4`` client index, ``i1``
+  region code, ``<f4`` anycast and best-unicast RTTs).
 
-Latency samples are packed as base64 arrays in all formats to keep
-files compact.
+Numeric columns are base64 of their raw bytes, so values — ``-0.0``,
+subnormals, NaN payloads — round-trip bit for bit.  Loads decode each
+block with a handful of numpy calls
+(:meth:`GroupedDailyAggregates.load_day_columns`,
+:meth:`RequestDiffLog.append_columns`), frame by frame as the file is
+read.  :func:`load_dataset` reads strictly; :func:`recover_dataset`
+salvages damaged files — skipping corrupt frames, truncating torn tails
+— and reports exactly what survived.  Versions 1-3 (the single JSON
+document and the per-row framed layouts) are no longer read: loading
+one raises a :class:`MeasurementError` naming the file and its version.
 """
 
 from __future__ import annotations
 
 import base64
 import datetime
+import itertools
 import json
-from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
@@ -46,6 +52,7 @@ from repro.errors import MeasurementError, StorageError
 from repro.clients.population import ClientPrefix
 from repro.geo.coords import GeoPoint
 from repro.measurement.aggregate import (
+    DayColumns,
     GroupedDailyAggregates,
     LatencyDigest,
     RequestDiffLog,
@@ -54,7 +61,8 @@ from repro.measurement.logs import PassiveLog
 from repro.measurement.sketch import DEFAULT_MAX_BUCKETS, LatencySketch
 from repro.measurement.storage import (
     RecoveryReport,
-    read_segment_text,
+    iter_frames,
+    open_segment,
     write_segment_file,
 )
 from repro.measurement.validate import RECORD_SCHEMA_VERSION
@@ -63,14 +71,8 @@ from repro.net.ip import IPv4Prefix
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.dataset import StudyDataset
 
-#: Format marker of the framed segment exports this module writes.
-FORMAT_VERSION = 3
-
-#: Framed format versions :func:`load_dataset` still reads.
-SUPPORTED_FORMAT_VERSIONS = (2, 3)
-
-#: Format marker of the legacy single-JSON-document exports (still read).
-LEGACY_FORMAT_VERSION = 1
+#: Format marker of the framed column-block exports; the only one read.
+FORMAT_VERSION = 4
 
 #: Client records per ``clients`` frame.
 _CLIENT_CHUNK = 500
@@ -78,37 +80,51 @@ _CLIENT_CHUNK = 500
 #: Request-diff rows per ``request_diffs`` frame.
 _DIFF_CHUNK = 100_000
 
+#: ``request_diffs`` columns, in :meth:`RequestDiffLog.columns` order.
+_DIFF_COLUMNS = (
+    ("day", "<i4"),
+    ("client_index", "<i4"),
+    ("region_code", "i1"),
+    ("anycast", "<f4"),
+    ("best_unicast", "<f4"),
+)
+
 _log = get_logger("export")
 
 
-def _pack_doubles(values: np.ndarray) -> str:
-    """Base64 of the values as native float64 bytes, converted and
-    encoded as whole buffers (no per-element Python work)."""
-    raw = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+def _pack(values: np.ndarray, dtype: str) -> str:
+    """Base64 of the values as ``dtype`` bytes (one buffer, no
+    per-element Python work)."""
+    raw = np.ascontiguousarray(values, dtype=np.dtype(dtype)).tobytes()
     return base64.b64encode(raw).decode("ascii")
 
 
-def _unpack_doubles(text: str) -> array:
-    packed = array("d")
-    packed.frombytes(base64.b64decode(text.encode("ascii")))
-    return packed
+def _unpack(text: str, dtype: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(text), dtype=np.dtype(dtype))
 
 
-def _digest_payload(digest: LatencyDigest) -> Any:
-    """One aggregate row's value cell: packed samples (exact) or a
-    sketch object (promoted)."""
+def digest_payload(digest: LatencyDigest) -> Any:
+    """Serialize one :class:`LatencyDigest` to a JSON-safe payload.
+
+    Exact digests pack their float64 samples bit-exactly (base64);
+    promoted digests serialize their sketch.  The live service's window
+    checkpoints use this so a spilled window round-trips without losing
+    a bit.
+    """
     if digest.is_exact:
-        return _pack_doubles(digest.values_view())
+        return _pack(digest.values_view(), "<f8")
     assert digest.sketch is not None
     return {"sketch": digest.sketch.to_obj()}
 
 
-def _digest_from_payload(
+def digest_from_payload(
     payload: Any,
     exact_threshold: Optional[int],
     relative_accuracy: float,
     max_buckets: int = DEFAULT_MAX_BUCKETS,
 ) -> LatencyDigest:
+    """Inverse of :func:`digest_payload`, rebuilding the digest with the
+    given sketch-mode configuration."""
     if isinstance(payload, dict):
         return LatencyDigest.from_sketch(
             LatencySketch.from_obj(payload["sketch"]),
@@ -121,164 +137,8 @@ def _digest_from_payload(
         relative_accuracy=relative_accuracy,
         max_buckets=max_buckets,
     )
-    digest.extend(_unpack_doubles(payload))
+    digest.extend(_unpack(payload, "<f8"))
     return digest
-
-
-def digest_payload(digest: LatencyDigest) -> Any:
-    """Serialize one :class:`LatencyDigest` to a JSON-safe payload.
-
-    Exact digests pack their float64 samples bit-exactly (base64);
-    promoted digests serialize their sketch.  Public companion of the
-    internal aggregate-row packing, reused by the live service's window
-    checkpoints so a spilled window round-trips without losing a bit.
-    """
-    return _digest_payload(digest)
-
-
-def digest_from_payload(
-    payload: Any,
-    exact_threshold: Optional[int],
-    relative_accuracy: float,
-    max_buckets: int = DEFAULT_MAX_BUCKETS,
-) -> LatencyDigest:
-    """Inverse of :func:`digest_payload`, rebuilding the digest with the
-    given sketch-mode configuration."""
-    return _digest_from_payload(
-        payload, exact_threshold, relative_accuracy, max_buckets
-    )
-
-
-def _aggregates_to_obj(aggregates: GroupedDailyAggregates) -> Dict[str, Any]:
-    if aggregates.exact_threshold is not None:
-        raise MeasurementError(
-            "legacy (v1) JSON documents cannot represent sketch-mode "
-            "aggregates; save through the framed exporter"
-        )
-    days: Dict[str, Any] = {}
-    for day in aggregates.days:
-        rows: List[Any] = []
-        for group, target_id, digest in aggregates.iter_day(day):
-            rows.append(
-                [group, target_id, _pack_doubles(digest.values_view())]
-            )
-        days[str(day)] = rows
-    return {"grouping": aggregates.grouping, "days": days}
-
-
-def _aggregates_from_obj(obj: Dict[str, Any]) -> GroupedDailyAggregates:
-    aggregates = GroupedDailyAggregates(obj["grouping"])
-    for day_text, rows in obj["days"].items():
-        day = int(day_text)
-        for group, target_id, packed in rows:
-            digest = aggregates._days.setdefault(day, {}).setdefault(
-                group, {}
-            )
-            digest[target_id] = LatencyDigest(_unpack_doubles(packed))
-    return aggregates
-
-
-def _aggregate_day_rows(
-    aggregates: GroupedDailyAggregates, day: int
-) -> List[Any]:
-    return [
-        [group, target_id, _digest_payload(digest)]
-        for group, target_id, digest in aggregates.iter_day(day)
-    ]
-
-
-def _apply_aggregate_rows(
-    aggregates: GroupedDailyAggregates, day: int, rows: List[Any]
-) -> None:
-    for group, target_id, payload in rows:
-        per_group = aggregates._days.setdefault(day, {}).setdefault(
-            group, {}
-        )
-        per_group[target_id] = _digest_from_payload(
-            payload,
-            aggregates.exact_threshold,
-            aggregates.relative_accuracy,
-            aggregates.max_buckets,
-        )
-
-
-def _passive_to_obj(passive: PassiveLog) -> Dict[str, Any]:
-    if passive.is_bounded:
-        raise MeasurementError(
-            "legacy (v1) JSON documents cannot represent a bounded "
-            "passive log; save through the framed exporter"
-        )
-    return {
-        str(day): {
-            client_key: counts for client_key, counts in passive.iter_day(day)
-        }
-        for day in passive.days
-    }
-
-
-def _passive_day_obj(passive: PassiveLog, day: int) -> Dict[str, Any]:
-    return {
-        client_key: counts for client_key, counts in passive.iter_day(day)
-    }
-
-
-def _apply_passive_day(
-    passive: PassiveLog, day: int, clients: Dict[str, Any]
-) -> None:
-    for client_key, counts in clients.items():
-        for frontend_id, count in counts.items():
-            passive.record(day, client_key, frontend_id, int(count))
-
-
-def _passive_from_obj(obj: Dict[str, Any]) -> PassiveLog:
-    passive = PassiveLog()
-    for day_text, clients in obj.items():
-        _apply_passive_day(passive, int(day_text), clients)
-    return passive
-
-
-def _diffs_slice_obj(
-    diffs: RequestDiffLog, start: int, stop: int
-) -> Dict[str, Any]:
-    day, client, region, anycast, best = (
-        column[start:stop] for column in diffs.columns()
-    )
-    return {
-        "region_names": list(diffs.region_names),
-        "day": _pack_doubles(day),
-        "client_index": _pack_doubles(client),
-        "region_code": _pack_doubles(region),
-        "anycast": _pack_doubles(anycast),
-        "best_unicast": _pack_doubles(best),
-    }
-
-
-def _diffs_to_obj(diffs: RequestDiffLog) -> Dict[str, Any]:
-    if diffs.is_bounded:
-        raise MeasurementError(
-            "legacy (v1) JSON documents cannot represent a bounded "
-            "request-diff log; save through the framed exporter"
-        )
-    return _diffs_slice_obj(diffs, 0, len(diffs))
-
-
-def _apply_diffs_obj(diffs: RequestDiffLog, obj: Dict[str, Any]) -> None:
-    names = obj["region_names"]
-    for name in names:
-        diffs.region_code(name)
-    days = _unpack_doubles(obj["day"])
-    clients = _unpack_doubles(obj["client_index"])
-    regions = _unpack_doubles(obj["region_code"])
-    anycast = _unpack_doubles(obj["anycast"])
-    best = _unpack_doubles(obj["best_unicast"])
-    for day, client, region, a, b in zip(days, clients, regions, anycast, best):
-        diffs.observe(int(day), int(client), names[int(region)], a, b)
-
-
-def _diffs_from_obj(obj: Dict[str, Any]) -> RequestDiffLog:
-    diffs = RequestDiffLog()
-    _apply_diffs_obj(diffs, obj)
-    return diffs
 
 
 def _client_to_obj(client: ClientPrefix) -> Dict[str, Any]:
@@ -306,105 +166,47 @@ def _client_from_obj(obj: Dict[str, Any]) -> ClientPrefix:
     )
 
 
-# ----------------------------------------------------------------------
-# Legacy v1: one JSON document
-# ----------------------------------------------------------------------
-
-
-def dataset_to_json(dataset: StudyDataset) -> Dict[str, Any]:
-    """Serialize a dataset to a legacy (v1) JSON document.
-
-    Kept for in-memory round trips and compatibility; files written by
-    :func:`save_dataset` use the framed v2 format instead.
-    """
+def _aggregate_block(
+    which: str, aggregates: GroupedDailyAggregates, day: int
+) -> Dict[str, Any]:
+    """One (sink, day) as a column block: keys, counts, samples, sketches."""
+    columns = aggregates.day_columns(day, ordered=False)
     return {
-        "format_version": LEGACY_FORMAT_VERSION,
-        "calendar": {
-            "start": dataset.calendar.start.isoformat(),
-            "num_days": dataset.calendar.num_days,
-        },
-        "clients": [_client_to_obj(c) for c in dataset.clients],
-        "ecs_aggregates": _aggregates_to_obj(dataset.ecs_aggregates),
-        "ldns_aggregates": _aggregates_to_obj(dataset.ldns_aggregates),
-        "request_diffs": _diffs_to_obj(dataset.request_diffs),
-        "passive": _passive_to_obj(dataset.passive),
-        "beacon_count": dataset.beacon_count,
-        "measurement_count": dataset.measurement_count,
-        "covered_ranges": [
-            [start, stop] for start, stop in (dataset.covered_ranges or ())
+        "kind": "aggregates",
+        "which": which,
+        "day": day,
+        "keys": columns.keys,
+        "counts": _pack(columns.counts, "<i8"),
+        "samples": _pack(columns.samples, "<f8"),
+        "sketches": [
+            [index, sketch.to_obj()] for index, sketch in columns.sketches
         ],
-        "load_summary": dataset.load_summary,
     }
 
 
-def _check_version(
-    version: Any, expected: Tuple[int, ...], what: str
-) -> None:
-    if version is None:
-        raise MeasurementError(
-            f"{what} carries no format version field — not a dataset "
-            "export, or one too damaged to identify"
-        )
-    if version not in expected:
-        raise MeasurementError(
-            f"unsupported dataset format version {version!r}"
-        )
-
-
-def dataset_from_json(document: Dict[str, Any]) -> StudyDataset:
-    """Rebuild a dataset from :func:`dataset_to_json`'s output.
-
-    Raises:
-        MeasurementError: on a missing/unknown format version, or a
-            structurally incomplete document (every malformed shape
-            surfaces as a clear error, never a raw ``KeyError``).
-    """
-    _check_version(
-        document.get("format_version"), (LEGACY_FORMAT_VERSION,),
-        "dataset document",
+def _apply_aggregate_block(
+    aggregates: GroupedDailyAggregates, frame: Dict[str, Any]
+) -> int:
+    """Load one :func:`_aggregate_block` into a sink; returns the
+    block's measurement count."""
+    counts = _unpack(frame["counts"], "<i8")
+    aggregates.load_day_columns(
+        int(frame["day"]),
+        DayColumns(
+            keys=frame["keys"],
+            counts=counts,
+            sketches=[
+                (int(index), LatencySketch.from_obj(obj))
+                for index, obj in frame["sketches"]
+            ],
+            samples=_unpack(frame["samples"], "<f8"),
+        ),
     )
-    try:
-        calendar = SimulationCalendar(
-            start=datetime.date.fromisoformat(document["calendar"]["start"]),
-            num_days=int(document["calendar"]["num_days"]),
-        )
-        # Files written before coverage tracking carry no key; those read
-        # as full coverage (None), while an explicit list — even an empty
-        # one — is preserved so partial datasets survive the round trip.
-        if "covered_ranges" in document:
-            covered: Optional[Tuple[Tuple[int, int], ...]] = tuple(
-                (int(start), int(stop))
-                for start, stop in document["covered_ranges"]
-            )
-        else:
-            covered = None
-        return StudyDataset(
-            calendar=calendar,
-            clients=tuple(
-                _client_from_obj(obj) for obj in document["clients"]
-            ),
-            ecs_aggregates=_aggregates_from_obj(document["ecs_aggregates"]),
-            ldns_aggregates=_aggregates_from_obj(document["ldns_aggregates"]),
-            request_diffs=_diffs_from_obj(document["request_diffs"]),
-            passive=_passive_from_obj(document["passive"]),
-            beacon_count=int(document["beacon_count"]),
-            measurement_count=int(document["measurement_count"]),
-            covered_ranges=covered,
-            load_summary=document.get("load_summary"),
-        )
-    except KeyError as error:
-        raise MeasurementError(
-            f"malformed dataset document: missing field {error}"
-        ) from error
-
-
-# ----------------------------------------------------------------------
-# v2: framed segment files
-# ----------------------------------------------------------------------
+    return int(counts.sum())
 
 
 def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
-    """Yield a dataset as v3 frames (header, clients, data, no footer)."""
+    """Yield a dataset as v4 frames (header, clients, data, no footer)."""
     clients = dataset.clients
     client_chunks = max(
         1, (len(clients) + _CLIENT_CHUNK - 1) // _CLIENT_CHUNK
@@ -436,7 +238,6 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
         "client_count": len(clients),
         "client_chunks": client_chunks,
         "diff_chunks": diff_chunks,
-        # Sketch configuration (v3): loads rebuild sinks in this mode.
         "sketch": {
             "exact_threshold": ecs.exact_threshold,
             "relative_accuracy": ecs.relative_accuracy,
@@ -445,6 +246,7 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
         "diffs_bounded": diffs.is_bounded,
         "diffs_accuracy": diffs.relative_accuracy,
         "diffs_max_buckets": diffs.max_buckets,
+        "diff_region_names": list(diffs.region_names),
         "passive_bounded": dataset.passive.is_bounded,
         "load_summary": dataset.load_summary,
     }
@@ -466,18 +268,8 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
         | set(dataset.passive.days)
     )
     for day in days:
-        yield {
-            "kind": "aggregates",
-            "which": "ecs",
-            "day": day,
-            "rows": _aggregate_day_rows(dataset.ecs_aggregates, day),
-        }
-        yield {
-            "kind": "aggregates",
-            "which": "ldns",
-            "day": day,
-            "rows": _aggregate_day_rows(dataset.ldns_aggregates, day),
-        }
+        yield _aggregate_block("ecs", dataset.ecs_aggregates, day)
+        yield _aggregate_block("ldns", dataset.ldns_aggregates, day)
         if dataset.passive.is_bounded:
             yield {
                 "kind": "passive_totals",
@@ -488,14 +280,16 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
             yield {
                 "kind": "passive",
                 "day": day,
-                "clients": _passive_day_obj(dataset.passive, day),
+                "clients": {
+                    client_key: counts
+                    for client_key, counts in dataset.passive.iter_day(day)
+                },
             }
     if diffs.is_bounded:
         # One frame per day, mirroring the aggregate frames' damage
         # locality: a torn tail loses trailing days of sketches only.
         sketches = diffs.day_region_sketches()
-        sketch_days = sorted({day for day, _ in sketches})
-        for day in sketch_days:
+        for day in sorted({day for day, _ in sketches}):
             yield {
                 "kind": "diff_sketches",
                 "day": day,
@@ -505,12 +299,16 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
                     if d == day
                 ],
             }
+    columns = diffs.columns() if diff_chunks else ()
     for index in range(diff_chunks):
-        start = index * _DIFF_CHUNK
+        rows = slice(index * _DIFF_CHUNK, (index + 1) * _DIFF_CHUNK)
         yield {
             "kind": "request_diffs",
             "index": index,
-            **_diffs_slice_obj(diffs, start, start + _DIFF_CHUNK),
+            **{
+                name: _pack(column[rows], dtype)
+                for (name, dtype), column in zip(_DIFF_COLUMNS, columns)
+            },
         }
 
 
@@ -523,8 +321,8 @@ class DatasetRecovery:
         claimed_beacon_count: Beacon count the header recorded.
         claimed_measurement_count: Measurement count the header recorded.
         recovered_measurement_count: Joined measurements actually present
-            in the salvaged frames; equals the claim iff nothing data-
-            bearing was lost.
+            in the salvaged ECS blocks; equals the claim iff nothing
+            data-bearing was lost.
     """
 
     report: RecoveryReport
@@ -552,157 +350,201 @@ class DatasetRecovery:
         }
 
 
-def _dataset_from_frames(
-    frames: List[Dict[str, Any]], report: RecoveryReport
-) -> Tuple[StudyDataset, DatasetRecovery]:
-    """Assemble a dataset from decoded v2 frames.
+class _DatasetReader:
+    """Applies decoded v4 frames to fresh sinks, one frame at a time."""
 
-    Raises:
-        MeasurementError: on a missing/unknown header format version.
-        StorageError: when the salvageable frames cannot anchor a
-            dataset at all (no header, or client chunks missing).
-    """
-    if not frames or frames[0].get("kind") != "header":
-        raise StorageError(
-            "unrecoverable dataset export: header frame is missing or "
-            "damaged"
+    def __init__(self, header: Dict[str, Any], source: str) -> None:
+        version = header.get("format_version")
+        if version is None:
+            raise MeasurementError(
+                f"{source}: dataset export carries no format version "
+                "field — not a dataset export, or one too damaged to "
+                "identify"
+            )
+        if version != FORMAT_VERSION:
+            raise MeasurementError(
+                f"{source}: unsupported dataset format version "
+                f"{version!r} (this build reads version {FORMAT_VERSION} "
+                "only; re-export the dataset)"
+            )
+        self.header = header
+        self.source = source
+        sketch = header["sketch"]
+        threshold = sketch["exact_threshold"]
+        self.ecs, self.ldns = (
+            GroupedDailyAggregates(
+                header[grouping],
+                exact_threshold=None if threshold is None else int(threshold),
+                relative_accuracy=float(sketch["relative_accuracy"]),
+                max_buckets=int(sketch["max_buckets"]),
+            )
+            for grouping in ("ecs_grouping", "ldns_grouping")
         )
-    header = frames[0]
-    _check_version(
-        header.get("format_version"), SUPPORTED_FORMAT_VERSIONS,
-        "dataset export",
-    )
-    try:
-        calendar = SimulationCalendar(
-            start=datetime.date.fromisoformat(header["calendar"]["start"]),
-            num_days=int(header["calendar"]["num_days"]),
+        self.passive = PassiveLog(bounded=bool(header["passive_bounded"]))
+        self.diffs = RequestDiffLog(
+            bounded=bool(header["diffs_bounded"]),
+            relative_accuracy=float(header["diffs_accuracy"]),
+            max_buckets=int(header["diffs_max_buckets"]),
         )
-        covered_obj = header["covered_ranges"]
-        covered = (
-            None
-            if covered_obj is None
-            else tuple((int(s), int(e)) for s, e in covered_obj)
-        )
-        client_chunks: Dict[int, List[Any]] = {}
-        # v2 headers carry no sketch fields; they read as exact mode.
-        sketch_config = header.get("sketch") or {}
-        exact_threshold = sketch_config.get("exact_threshold")
-        if exact_threshold is not None:
-            exact_threshold = int(exact_threshold)
-        relative_accuracy = float(
-            sketch_config.get("relative_accuracy", 0.01)
-        )
-        max_buckets = int(
-            sketch_config.get("max_buckets", DEFAULT_MAX_BUCKETS)
-        )
-        ecs = GroupedDailyAggregates(
-            header["ecs_grouping"],
-            exact_threshold=exact_threshold,
-            relative_accuracy=relative_accuracy,
-            max_buckets=max_buckets,
-        )
-        ldns = GroupedDailyAggregates(
-            header["ldns_grouping"],
-            exact_threshold=exact_threshold,
-            relative_accuracy=relative_accuracy,
-            max_buckets=max_buckets,
-        )
-        passive = PassiveLog(bounded=bool(header.get("passive_bounded")))
-        diffs = RequestDiffLog(
-            bounded=bool(header.get("diffs_bounded")),
-            relative_accuracy=float(
-                header.get("diffs_accuracy", relative_accuracy)
-            ),
-            max_buckets=int(
-                header.get("diffs_max_buckets", DEFAULT_MAX_BUCKETS)
-            ),
-        )
-        diff_chunks: Dict[int, Dict[str, Any]] = {}
-        for frame in frames[1:]:
-            kind = frame.get("kind")
-            if kind == "clients":
-                client_chunks[int(frame["index"])] = frame["rows"]
-            elif kind == "aggregates":
-                target = ecs if frame["which"] == "ecs" else ldns
-                _apply_aggregate_rows(
-                    target, int(frame["day"]), frame["rows"]
+        for name in header["diff_region_names"]:
+            self.diffs.region_code(name)
+        self.client_chunks: Dict[int, List[Any]] = {}
+        self.next_diff_chunk = 0
+        self.ecs_measurements = 0
+
+    def apply(self, frame: Dict[str, Any]) -> None:
+        kind = frame.get("kind")
+        if kind == "clients":
+            self.client_chunks[int(frame["index"])] = frame["rows"]
+        elif kind == "aggregates":
+            if frame["which"] == "ecs":
+                self.ecs_measurements += _apply_aggregate_block(
+                    self.ecs, frame
                 )
-            elif kind == "passive":
-                _apply_passive_day(
-                    passive, int(frame["day"]), frame["clients"]
+            else:
+                _apply_aggregate_block(self.ldns, frame)
+        elif kind == "passive":
+            day = int(frame["day"])
+            for client_key, counts in frame["clients"].items():
+                for frontend_id, count in counts.items():
+                    self.passive.record(
+                        day, client_key, frontend_id, int(count)
+                    )
+        elif kind == "passive_totals":
+            day = int(frame["day"])
+            for frontend_id, count in frame["totals"].items():
+                self.passive.record(day, "", frontend_id, int(count))
+        elif kind == "diff_sketches":
+            day = int(frame["day"])
+            diffs = self.diffs
+            for region, sketch_obj in frame["rows"]:
+                sketch = LatencySketch.from_obj(sketch_obj)
+                diffs.region_code(region)
+                existing = diffs._sketches.get((day, region))
+                if existing is None:
+                    diffs._sketches[(day, region)] = sketch
+                else:
+                    existing.merge(sketch)
+                diffs._total += sketch.count
+        elif kind == "request_diffs":
+            # Row order matters for the diff columns: apply chunks in
+            # index order and drop everything after a gap.
+            if int(frame["index"]) != self.next_diff_chunk:
+                return
+            self.diffs.append_columns(
+                *(
+                    _unpack(frame[name], dtype)
+                    for name, dtype in _DIFF_COLUMNS
                 )
-            elif kind == "passive_totals":
-                day = int(frame["day"])
-                for frontend_id, count in frame["totals"].items():
-                    passive.record(day, "", frontend_id, int(count))
-            elif kind == "diff_sketches":
-                day = int(frame["day"])
-                for region, sketch_obj in frame["rows"]:
-                    sketch = LatencySketch.from_obj(sketch_obj)
-                    diffs.region_code(region)
-                    existing = diffs._sketches.get((day, region))
-                    if existing is None:
-                        diffs._sketches[(day, region)] = sketch
-                    else:
-                        existing.merge(sketch)
-                    diffs._total += sketch.count
-            elif kind == "request_diffs":
-                diff_chunks[int(frame["index"])] = frame
-        if sorted(client_chunks) != list(range(int(header["client_chunks"]))):
+            )
+            self.next_diff_chunk += 1
+
+    def finish(
+        self, report: RecoveryReport
+    ) -> Tuple[StudyDataset, DatasetRecovery]:
+        header = self.header
+        chunks = self.client_chunks
+        if sorted(chunks) != list(range(int(header["client_chunks"]))):
             raise StorageError(
-                "unrecoverable dataset export: client frames are "
-                f"incomplete ({len(client_chunks)} of "
+                f"{self.source}: unrecoverable dataset export: client "
+                f"frames are incomplete ({len(chunks)} of "
                 f"{header['client_chunks']} chunks survived)"
             )
         clients = tuple(
             _client_from_obj(obj)
-            for index in sorted(client_chunks)
-            for obj in client_chunks[index]
+            for index in sorted(chunks)
+            for obj in chunks[index]
         )
         if len(clients) != int(header["client_count"]):
             raise StorageError(
-                "unrecoverable dataset export: client count mismatch "
+                f"{self.source}: unrecoverable dataset export: client "
+                "count mismatch "
                 f"({len(clients)} != {header['client_count']})"
             )
-        # Row order matters for the diff columns; apply chunks in index
-        # order and drop anything after a gap (rows would misalign).
-        for index in range(int(header["diff_chunks"])):
-            frame = diff_chunks.get(index)
-            if frame is None:
-                break
-            _apply_diffs_obj(diffs, frame)
-        recovered_measurements = sum(
-            digest.count
-            for day in ecs.days
-            for _, _, digest in ecs.iter_day(day)
-        )
         recovery = DatasetRecovery(
             report=report,
             claimed_beacon_count=int(header["beacon_count"]),
             claimed_measurement_count=int(header["measurement_count"]),
-            recovered_measurement_count=recovered_measurements,
+            recovered_measurement_count=self.ecs_measurements,
         )
+        covered = header["covered_ranges"]
         dataset = StudyDataset(
-            calendar=calendar,
-            clients=clients,
-            ecs_aggregates=ecs,
-            ldns_aggregates=ldns,
-            request_diffs=diffs,
-            passive=passive,
-            beacon_count=int(header["beacon_count"]),
-            measurement_count=(
-                int(header["measurement_count"])
-                if recovery.complete
-                else recovered_measurements
+            calendar=SimulationCalendar(
+                start=datetime.date.fromisoformat(header["calendar"]["start"]),
+                num_days=int(header["calendar"]["num_days"]),
             ),
-            covered_ranges=covered,
-            # .get(): headers written before load awareness lack the key.
-            load_summary=header.get("load_summary"),
+            clients=clients,
+            ecs_aggregates=self.ecs,
+            ldns_aggregates=self.ldns,
+            request_diffs=self.diffs,
+            passive=self.passive,
+            beacon_count=recovery.claimed_beacon_count,
+            measurement_count=(
+                recovery.claimed_measurement_count
+                if recovery.complete
+                else self.ecs_measurements
+            ),
+            covered_ranges=(
+                None
+                if covered is None
+                else tuple((int(s), int(e)) for s, e in covered)
+            ),
+            load_summary=header["load_summary"],
         )
         return dataset, recovery
-    except KeyError as error:
+
+
+def _legacy_document_error(first_line: str, source: str) -> MeasurementError:
+    """The error for a single-JSON-document (pre-framing) export."""
+    try:
+        version = json.loads(first_line).get("format_version")
+    except (ValueError, AttributeError):
+        version = None
+    return MeasurementError(
+        f"{source}: unsupported dataset format version {version!r} (a "
+        f"single JSON document; this build reads framed version "
+        f"{FORMAT_VERSION} only; re-export the dataset)"
+    )
+
+
+def _read_dataset(
+    path_or_file: Union[str, IO[str]], strict: bool
+) -> Tuple[StudyDataset, DatasetRecovery]:
+    """Stream an export's frames into a dataset (see :func:`load_dataset`
+    and :func:`recover_dataset` for the two postures)."""
+    try:
+        with open_segment(path_or_file) as (handle, source):
+            return _read_frames(handle, source, strict)
+    except OSError as error:
         raise MeasurementError(
-            f"malformed dataset export: missing field {error}"
+            f"{path_or_file}: cannot read dataset export ({error})"
+        ) from error
+
+
+def _read_frames(
+    handle: IO[str], source: str, strict: bool
+) -> Tuple[StudyDataset, DatasetRecovery]:
+    report = RecoveryReport()
+    try:
+        first_line = handle.readline()
+        if first_line.lstrip().startswith("{"):
+            raise _legacy_document_error(first_line, source)
+        frames = iter_frames(
+            itertools.chain([first_line], handle), report, strict, source
+        )
+        header = next(frames, None)
+        if header is None or header.get("kind") != "header":
+            raise StorageError(
+                f"{source}: unrecoverable dataset export: header frame "
+                "is missing or damaged"
+            )
+        reader = _DatasetReader(header, source)
+        for frame in frames:
+            reader.apply(frame)
+        return reader.finish(report)
+    except (KeyError, TypeError, ValueError) as error:
+        raise MeasurementError(
+            f"{source}: malformed dataset export ({error!r})"
         ) from error
 
 
@@ -712,25 +554,15 @@ def _dataset_from_frames(
 
 
 def save_dataset(
-    dataset: StudyDataset,
-    path_or_file: Union[str, IO[str]],
-    columnar: bool = True,
+    dataset: StudyDataset, path_or_file: Union[str, IO[str]]
 ) -> None:
-    """Write a dataset as a crash-safe framed (v2) export.
+    """Write a dataset as a crash-safe framed (v4) export.
 
     Paths are written via temp file + atomic rename, so an interrupted
-    save never leaves a torn file at the destination.  Saves to a path
-    also write a columnar sidecar (``<path>.cols``,
-    :mod:`repro.measurement.columnar`) so later loads skip the JSON
-    frame parse; pass ``columnar=False`` to suppress it.  The sidecar
-    is best-effort — failing to write it never fails the save.
+    save never leaves a torn file at the destination.
     """
     write_segment_file(path_or_file, _dataset_frames(dataset))
     if isinstance(path_or_file, str):
-        if columnar:
-            from repro.measurement.columnar import write_sidecar
-
-            write_sidecar(path_or_file, dataset)
         _log.info(
             "dataset saved",
             extra={
@@ -740,69 +572,15 @@ def save_dataset(
         )
 
 
-def _read_text(path_or_file: Union[str, IO[str]]) -> Tuple[str, str]:
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "r", encoding="utf-8", newline="") as handle:
-            return handle.read(), path_or_file
-    return path_or_file.read(), getattr(path_or_file, "name", "<stream>")
+def load_dataset(path_or_file: Union[str, IO[str]]) -> StudyDataset:
+    """Read a v4 dataset export, applying each frame as it is read.
 
-
-def load_dataset(
-    path_or_file: Union[str, IO[str]], columnar: bool = True
-) -> StudyDataset:
-    """Read a dataset export (framed v2, or a legacy v1 JSON document).
-
-    Strict: a damaged v2 file raises :class:`StorageError` (use
-    :func:`recover_dataset` to salvage), and a version-less or
-    unknown-version file raises a clear :class:`MeasurementError`.
-
-    Loads from a path first try the columnar sidecar
-    (:mod:`repro.measurement.columnar`): when one exists and its
-    fingerprint matches the export's current bytes, the dataset decodes
-    from memory-mapped columns without touching the JSON frames.  A
-    missing or stale sidecar falls back to the framed parse and — for a
-    framed file — rewrites the sidecar so the next load is fast again.
-    Pass ``columnar=False`` to force the framed parse.
+    Strict: a damaged file raises :class:`StorageError` (use
+    :func:`recover_dataset` to salvage); a missing file, a version-less
+    or other-version export (including every v1-v3 file) raises a
+    :class:`MeasurementError` naming the file and the version.
     """
-    fingerprint = None
-    if isinstance(path_or_file, str) and columnar:
-        from repro.measurement.columnar import (
-            file_fingerprint,
-            load_sidecar,
-            write_sidecar,
-        )
-
-        try:
-            fingerprint = file_fingerprint(path_or_file)
-        except OSError as error:
-            raise MeasurementError(
-                f"{path_or_file}: cannot read dataset export ({error})"
-            ) from error
-        cached = load_sidecar(path_or_file, fingerprint)
-        if cached is not None:
-            _log.info(
-                "dataset loaded",
-                extra={"path": path_or_file, "columnar": True},
-            )
-            return cached
-    text, source = _read_text(path_or_file)
-    if text.lstrip()[:1] == "{":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise MeasurementError(
-                f"{source}: not a dataset export (unparseable JSON "
-                f"document: {error})"
-            ) from error
-        dataset = dataset_from_json(document)
-    else:
-        frames, report = read_segment_text(text, strict=True, source=source)
-        dataset, _ = _dataset_from_frames(frames, report)
-        if fingerprint is not None:
-            # Framed parse succeeded but the sidecar was absent/stale:
-            # refresh it (best-effort) so the next load takes the
-            # columnar path.
-            write_sidecar(path_or_file, dataset, fingerprint)
+    dataset, _ = _read_dataset(path_or_file, strict=True)
     if isinstance(path_or_file, str):
         _log.info("dataset loaded", extra={"path": path_or_file})
     return dataset
@@ -822,18 +600,15 @@ def recover_dataset(
     Raises:
         StorageError: when not even a header + client frames survived —
             there is no dataset to anchor.
+        MeasurementError: on a missing file or an unsupported version.
     """
-    text, source = _read_text(path_or_file)
-    if text.lstrip()[:1] == "{":
-        raise MeasurementError(
-            f"{source}: legacy (v1) JSON exports have no frame structure "
-            "to recover; re-export in the framed format"
-        )
-    frames, report = read_segment_text(text, strict=False, source=source)
-    dataset, recovery = _dataset_from_frames(frames, report)
+    dataset, recovery = _read_dataset(path_or_file, strict=False)
     if not recovery.complete:
         _log.warning(
             "dataset recovered with losses",
-            extra={"path": source, **recovery.to_obj()},
+            extra={
+                "path": getattr(path_or_file, "name", path_or_file),
+                **recovery.to_obj(),
+            },
         )
     return dataset, recovery

@@ -18,21 +18,30 @@ lines::
   ``os.replace``, so a crash mid-export leaves the previous file intact
   — readers never observe a half-written path.
 
-Readers come in two postures: :func:`read_segment_file` with
-``strict=True`` raises :class:`repro.errors.StorageError` on any damage
-(the default for loads feeding an analysis), while ``strict=False``
-salvages what it can and reports exactly what was lost in a
-:class:`RecoveryReport` — truncating torn tails and skipping corrupt
-frames instead of raising mid-parse.
+One reader, :func:`iter_frames`, decodes a file line by line, so a
+consumer (the dataset loader in :mod:`repro.measurement.export`) applies
+each frame before the next is read and never holds the whole text.
+:func:`read_segment_text` and :func:`read_segment_file` collect its
+frames into a list.  Readers come in two postures: ``strict=True``
+raises :class:`repro.errors.StorageError` on any damage (the default
+for loads feeding an analysis), while ``strict=False`` salvages what it
+can and reports exactly what was lost in a :class:`RecoveryReport` —
+truncating torn tails and skipping corrupt frames instead of raising
+mid-parse.
+
+The container is format-agnostic: what the frames carry (version 4
+column blocks for dataset exports) is the writer's business.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Iterable, List, Tuple, Union
+from typing import IO, Any, Dict, Iterable, Iterator, List, Tuple, Union
 
 from repro.errors import StorageError
 
@@ -98,19 +107,27 @@ class RecoveryReport:
         }
 
 
+#: Decodes a payload in place (``raw_decode`` takes a start offset), so
+#: a multi-megabyte frame is not sliced out of its line first.
+_DECODER = json.JSONDecoder()
+
+
 def _parse_frame(line: str) -> Dict[str, Any]:
     """Decode one framed line; raises ``ValueError`` on any mismatch."""
-    length_text, _, rest = line.partition(" ")
-    crc_text, _, payload = rest.partition(" ")
-    length = int(length_text)  # ValueError on damage
-    data = payload.encode("ascii", errors="strict")
-    if len(data) != length:
+    data = line.encode("ascii", errors="strict")
+    length_end = data.index(b" ")  # ValueError on damage
+    crc_end = data.index(b" ", length_end + 1)
+    length = int(data[:length_end])
+    payload = memoryview(data)[crc_end + 1 :]
+    if len(payload) != length:
         raise ValueError(
-            f"frame length mismatch: declared {length}, got {len(data)}"
+            f"frame length mismatch: declared {length}, got {len(payload)}"
         )
-    if zlib.crc32(data) != int(crc_text, 16):
+    if zlib.crc32(payload) != int(data[length_end + 1 : crc_end], 16):
         raise ValueError("frame CRC mismatch")
-    obj = json.loads(payload)
+    obj, end = _DECODER.raw_decode(line, crc_end + 1)
+    if end != len(line):
+        raise ValueError("extra data after the frame payload")
     if not isinstance(obj, dict):
         raise ValueError("frame payload is not an object")
     return obj
@@ -153,25 +170,37 @@ def _write_frames(handle: IO[str], frames: Iterable[Dict[str, Any]]) -> int:
     return count
 
 
-def read_segment_text(
-    text: str, strict: bool = True, source: str = "<stream>"
-) -> Tuple[List[Dict[str, Any]], RecoveryReport]:
-    """Decode framed text into its frames plus a recovery report.
+def iter_frames(
+    lines: Iterable[str],
+    report: RecoveryReport,
+    strict: bool = True,
+    source: str = "<stream>",
+) -> Iterator[Dict[str, Any]]:
+    """Decode framed lines one at a time, yielding each data frame.
 
-    With ``strict=True`` any damage — a corrupt frame, a torn tail, a
-    missing or miscounting footer — raises :class:`StorageError`.  With
-    ``strict=False`` the reader salvages every intact frame, skipping
-    corrupt ones and truncating the torn tail, and the report says
-    exactly what happened.
+    ``lines`` is any iterable of newline-terminated lines (an open text
+    handle, typically), so a reader holds one frame in memory at a time
+    and can apply it before decoding the next.  ``report`` is filled in
+    as frames decode; its ``footer_seen`` is settled once the lines run
+    out.  With ``strict=True`` any damage — a corrupt frame, a torn
+    tail, a missing or miscounting footer — raises
+    :class:`StorageError` at the point it is found.  With
+    ``strict=False`` corrupt frames are skipped, the torn tail is
+    truncated, and the report says exactly what happened.
     """
-    report = RecoveryReport()
-    frames: List[Dict[str, Any]] = []
-    lines = text.split("\n")
-    # A file that ends with a newline splits into [... , ""]; anything
-    # else in the final slot is a frame the writer never finished.
-    tail = lines.pop() if lines else ""
     footer_count = None
     for index, line in enumerate(lines):
+        if not line.endswith("\n"):
+            # Only the last line can lack its newline: a frame the
+            # writer never finished.
+            if strict:
+                raise StorageError(
+                    f"{source}: torn tail (file ends mid-frame, "
+                    f"{len(line)} trailing bytes)"
+                )
+            report.torn_tail = True
+            break
+        line = line[:-1]
         if not line:
             continue
         try:
@@ -186,17 +215,10 @@ def read_segment_text(
         if obj.get(FRAME_KIND_KEY) == FOOTER_KIND:
             footer_count = obj.get("frames")
             continue
-        frames.append(obj)
         report.frames_total += 1
         kind = str(obj.get(FRAME_KIND_KEY))
         report.salvaged_kinds[kind] = report.salvaged_kinds.get(kind, 0) + 1
-    if tail:
-        if strict:
-            raise StorageError(
-                f"{source}: torn tail (file ends mid-frame, "
-                f"{len(tail)} trailing bytes)"
-            )
-        report.torn_tail = True
+        yield obj
     # Only an exact match on an intact file reads as a complete close;
     # a corrupt or missing frame leaves the footer's count unmet.
     report.footer_seen = (
@@ -207,6 +229,36 @@ def read_segment_text(
             f"{source}: missing or miscounting footer "
             f"(declared {footer_count!r}, read {report.frames_total})"
         )
+
+
+@contextlib.contextmanager
+def open_segment(
+    path_or_file: Union[str, IO[str]]
+) -> Iterator[Tuple[IO[str], str]]:
+    """``(text handle, source name)`` for a path or an open stream.
+
+    Paths open with ``\\n`` as the only line ending, so a stray ``\\r``
+    stays inside its frame (and fails its CRC) instead of splitting it,
+    and undecodable bytes read as replacement characters, which fail
+    the frame's ASCII check.  Streams are used as given.
+    """
+    if isinstance(path_or_file, str):
+        with open(
+            path_or_file, "r", encoding="utf-8", errors="replace",
+            newline="\n",
+        ) as handle:
+            yield handle, path_or_file
+    else:
+        yield path_or_file, getattr(path_or_file, "name", "<stream>")
+
+
+def read_segment_text(
+    text: str, strict: bool = True, source: str = "<stream>"
+) -> Tuple[List[Dict[str, Any]], RecoveryReport]:
+    """Decode framed text into its frames plus a recovery report
+    (:func:`iter_frames`, collected into a list)."""
+    report = RecoveryReport()
+    frames = list(iter_frames(io.StringIO(text), report, strict, source))
     return frames, report
 
 
@@ -214,14 +266,10 @@ def read_segment_file(
     path_or_file: Union[str, IO[str]], strict: bool = True
 ) -> Tuple[List[Dict[str, Any]], RecoveryReport]:
     """Read and decode a framed segment file (path or open stream)."""
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "r", encoding="utf-8", newline="") as handle:
-            text = handle.read()
-        source = path_or_file
-    else:
-        text = path_or_file.read()
-        source = getattr(path_or_file, "name", "<stream>")
-    return read_segment_text(text, strict=strict, source=source)
+    report = RecoveryReport()
+    with open_segment(path_or_file) as (handle, source):
+        frames = list(iter_frames(handle, report, strict, source))
+    return frames, report
 
 
 def atomic_write_text(path: str, text: str) -> None:

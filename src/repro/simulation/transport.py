@@ -37,8 +37,8 @@ import numpy as np
 
 from repro.errors import MeasurementError
 from repro.measurement.aggregate import (
+    DayColumns,
     GroupedDailyAggregates,
-    LatencyDigest,
     RequestDiffLog,
 )
 from repro.measurement.logs import PassiveLog
@@ -58,7 +58,7 @@ except ImportError:  # pragma: no cover - exercised only where absent
 _log = get_logger("transport")
 
 #: Leading bytes of every columnar shard payload.
-MAGIC = b"RPRO-SHARD3\x00"
+MAGIC = b"RPRO-SHARD4\x00"
 
 #: Payloads smaller than this ship inline even when shared memory is
 #: available — a shared-memory block has fixed setup cost that only
@@ -80,10 +80,6 @@ class _ColumnWriter:
         self.table.append((arr.dtype.str, int(arr.size)))
         self.chunks.append(arr.tobytes())
         return len(self.table) - 1
-
-    def put_buffer(self, raw, dtype: str) -> int:
-        """Append an existing C buffer (``array`` module) verbatim."""
-        return self.put(np.frombuffer(raw, dtype=np.dtype(dtype)))
 
 
 class _ColumnReader:
@@ -147,35 +143,22 @@ def _sketch_from_spec(
 def _aggregates_spec(
     aggregates: GroupedDailyAggregates, columns: _ColumnWriter
 ) -> Dict[str, Any]:
-    # Exact digests for one day coalesce into a single float64 column;
-    # each row records its [start, stop) slice instead of a column
-    # index.  One tobytes per day instead of one per digest is what
-    # keeps encode (and the mirrored decode) at memcpy speed — a
-    # paper-scale day holds tens of thousands of digests.
+    # One day travels as its DayColumns: keys in iter_day order, one
+    # count column, and every exact sample coalesced into one float64
+    # column.  One tobytes per day instead of one per digest is what
+    # keeps encode (and the bulk decode) at memcpy speed — a paper-scale
+    # day holds tens of thousands of digests.
     days: Dict[int, Dict[str, Any]] = {}
     for day in aggregates.days:
-        rows: List[Any] = []
-        chunks: List[np.ndarray] = []
-        offset = 0
-        for group, target_id, digest in aggregates.iter_day(day):
-            if digest.is_exact:
-                view = digest.values_view()
-                rows.append(
-                    [group, target_id, offset, offset + view.size]
-                )
-                if view.size:
-                    chunks.append(view)
-                    offset += view.size
-            else:
-                assert digest.sketch is not None
-                rows.append(
-                    [group, target_id, _sketch_spec(digest.sketch, columns)]
-                )
+        day_columns = aggregates.day_columns(day, ordered=False)
         days[day] = {
-            "rows": rows,
-            "samples": (
-                columns.put(np.concatenate(chunks)) if chunks else None
-            ),
+            "keys": day_columns.keys,
+            "counts": columns.put(day_columns.counts),
+            "samples": columns.put(day_columns.samples),
+            "sketches": [
+                [index, _sketch_spec(sketch, columns)]
+                for index, sketch in day_columns.sketches
+            ],
         }
     return {
         "grouping": aggregates.grouping,
@@ -196,50 +179,17 @@ def _aggregates_from_spec(
         max_buckets=spec["max_buckets"],
     )
     for day, day_spec in spec["days"].items():
-        day = int(day)
-        per_day = aggregates._days.setdefault(day, {})
-        # Exact digests decode in bulk from the day's coalesced sample
-        # column: one reduceat pair recovers every digest's extrema and
-        # the zero-copy run sink appends the slices.  A per-digest
-        # extend() would pay a Python call plus two tiny numpy
-        # reductions for each of tens of thousands of digests.
-        values: Optional[np.ndarray] = None
-        if day_spec["samples"] is not None:
-            values = columns.get(day_spec["samples"])
-        runs: List[Tuple[str, str, int, int]] = []
-        for row in day_spec["rows"]:
-            if isinstance(row[2], dict):
-                group, target_id, sketch_spec = row
-                digest = LatencyDigest.from_sketch(
-                    _sketch_from_spec(sketch_spec, columns),
-                    exact_threshold=spec["exact_threshold"],
-                    relative_accuracy=spec["relative_accuracy"],
-                    max_buckets=spec["max_buckets"],
-                )
-                per_day.setdefault(group, {})[target_id] = digest
-                continue
-            group, target_id, start, stop = row
-            if start == stop:
-                per_day.setdefault(group, {})[target_id] = (
-                    aggregates._new_digest()
-                )
-                continue
-            runs.append((group, target_id, start, stop))
-        if not runs:
-            continue
-        assert values is not None
-        starts = np.fromiter(
-            (run[2] for run in runs), dtype=np.intp, count=len(runs)
-        )
-        lows = np.minimum.reduceat(values, starts)
-        highs = np.maximum.reduceat(values, starts)
-        aggregates.observe_runs(
-            day,
-            [
-                (group, target_id, start, stop, lows[i], highs[i])
-                for i, (group, target_id, start, stop) in enumerate(runs)
-            ],
-            values,
+        aggregates.load_day_columns(
+            int(day),
+            DayColumns(
+                keys=day_spec["keys"],
+                counts=columns.get(day_spec["counts"]),
+                sketches=[
+                    (index, _sketch_from_spec(sketch_spec, columns))
+                    for index, sketch_spec in day_spec["sketches"]
+                ],
+                samples=columns.get(day_spec["samples"]),
+            ),
         )
     return aggregates
 
@@ -262,11 +212,7 @@ def _diffs_spec(diffs: RequestDiffLog, columns: _ColumnWriter) -> Dict[str, Any]
     return {
         "bounded": False,
         "region_names": list(diffs.region_names),
-        "day": columns.put_buffer(diffs._day, "=i4"),
-        "client_index": columns.put_buffer(diffs._client_index, "=i4"),
-        "region_code": columns.put_buffer(diffs._region_code, "=i1"),
-        "anycast": columns.put_buffer(diffs._anycast, "=f4"),
-        "best_unicast": columns.put_buffer(diffs._best_unicast, "=f4"),
+        "columns": [columns.put(column) for column in diffs.columns()],
     }
 
 
@@ -290,17 +236,7 @@ def _diffs_from_spec(
     diffs = RequestDiffLog()
     for name in spec["region_names"]:
         diffs.region_code(name)
-    diffs._day.frombytes(columns.get(spec["day"]).tobytes())
-    diffs._client_index.frombytes(
-        columns.get(spec["client_index"]).tobytes()
-    )
-    diffs._region_code.frombytes(
-        columns.get(spec["region_code"]).tobytes()
-    )
-    diffs._anycast.frombytes(columns.get(spec["anycast"]).tobytes())
-    diffs._best_unicast.frombytes(
-        columns.get(spec["best_unicast"]).tobytes()
-    )
+    diffs.append_columns(*(columns.get(i) for i in spec["columns"]))
     return diffs
 
 

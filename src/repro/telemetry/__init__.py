@@ -55,10 +55,8 @@ from repro.telemetry.spans import SpanRecord, SpanTracker
 from repro.telemetry.trace import (
     TraceEvent,
     TraceLog,
-    active_trace,
     format_trace_report,
     merge_trace_logs,
-    set_active_trace,
 )
 
 __all__ = [
@@ -79,7 +77,6 @@ __all__ = [
     "TextLineFormatter",
     "TraceEvent",
     "TraceLog",
-    "active_trace",
     "build_run_manifest",
     "check_history",
     "compare_records",
@@ -94,6 +91,5 @@ __all__ = [
     "merge_trace_logs",
     "peak_rss_bytes",
     "record_from_snapshot",
-    "set_active_trace",
     "write_run_manifest",
 ]

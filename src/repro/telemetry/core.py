@@ -28,7 +28,7 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.telemetry.spans import SpanTracker
-from repro.telemetry.trace import TraceLog, set_active_trace
+from repro.telemetry.trace import TraceLog
 
 
 def config_digest(config: object) -> str:
@@ -56,12 +56,9 @@ class Telemetry:
             self.context = dict(context or {})
         self.registry = MetricsRegistry()
         self.spans = SpanTracker()
-        # One timeline per run: spans mirror onto it as phase slices,
-        # and emission sites without a Telemetry handle (e.g. the
-        # columnar sidecar loader) reach it via the active-trace hook.
+        # One timeline per run: spans mirror onto it as phase slices.
         self.trace = TraceLog()
         self.spans.trace = self.trace
-        set_active_trace(self.trace)
 
     # ------------------------------------------------------------------
     # Registry delegation

@@ -194,24 +194,6 @@ def build_run_manifest(
             ),
             "digest": snapshot.trace.digest(),
         }
-    sidecar = {
-        name: int(value)
-        for name, value in sorted(snapshot.counters.items())
-        if name.startswith("columnar.sidecar_")
-    }
-    if not sidecar:
-        # The sidecar loader runs without a Telemetry handle (analysis
-        # processes have no campaign), so its counters are process
-        # globals; imported locally to keep telemetry import-light.
-        from repro.measurement.columnar import SIDECAR_STATS
-
-        sidecar = {
-            name: value
-            for name, value in SIDECAR_STATS.as_dict().items()
-            if value
-        }
-    if sidecar:
-        manifest["columnar"] = sidecar
     if "validate.records_total" in snapshot.counters:
         reason_prefix = "validate.quarantined."
         manifest["validation"] = {

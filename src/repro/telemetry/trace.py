@@ -2,8 +2,8 @@
 
 A campaign run is a swarm of phases spread over shards: engines chew
 through days, the resilient coordinator dispatches / retries / resumes,
-faults fire, checkpoints spill, sidecars hit or miss.  Counters and
-spans (:mod:`repro.telemetry.core`) answer "how much" and "how long in
+faults fire, checkpoints spill.  Counters and spans
+(:mod:`repro.telemetry.core`) answer "how much" and "how long in
 total"; this module answers "*when*, and *on which shard*" — the
 timeline view the paper's §6 operational-diagnosis workflow assumes.
 
@@ -460,9 +460,9 @@ def format_trace_report(log: TraceLog) -> str:
     """Human-readable timeline summary with critical-path attribution.
 
     Renders per-lane activity (first/last event, busy time, counts), the
-    operational event census (retries, faults, checkpoints, sidecar
-    traffic), and a per-phase attribution over the *critical lane* — the
-    lane whose activity finishes last and therefore bounds wall time.
+    operational event census (retries, faults, checkpoints), and a
+    per-phase attribution over the *critical lane* — the lane whose
+    activity finishes last and therefore bounds wall time.
     """
     events = log.canonical()
     if not events:
@@ -547,23 +547,6 @@ def format_trace_report(log: TraceLog) -> str:
         lines.append("")
         lines.append(f"data digest: {log.digest()}")
     return "\n".join(lines) + "\n"
-
-
-# -- module-level active trace (for emission sites without a Telemetry
-#    handle, e.g. the columnar sidecar loader) --------------------------
-
-_active_trace: Optional[TraceLog] = None
-
-
-def set_active_trace(trace: Optional[TraceLog]) -> None:
-    """Install (or clear) the process-wide default trace log."""
-    global _active_trace
-    _active_trace = trace
-
-
-def active_trace() -> Optional[TraceLog]:
-    """The process-wide default trace log, if one is installed."""
-    return _active_trace
 
 
 def merge_trace_logs(logs: Iterable[TraceLog]) -> Optional[TraceLog]:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import io
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.clients.population import ClientPrefix
 from repro.geo.coords import GeoPoint
 from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
+from repro.measurement.export import _dataset_frames
 from repro.measurement.logs import PassiveLog
+from repro.measurement.storage import write_segment_file
 from repro.net.ip import IPv4Address, IPv4Prefix
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.dataset import StudyDataset
@@ -71,3 +74,18 @@ def make_dataset(
         request_diffs=RequestDiffLog(),
         passive=passive,
     )
+
+
+def framed_export(dataset: StudyDataset, **header: Any) -> io.StringIO:
+    """The dataset's framed export as a rewound stream, with ``header``
+    fields overridden (``None`` deletes a field)."""
+    frames = list(_dataset_frames(dataset))
+    for key, value in header.items():
+        if value is None:
+            frames[0].pop(key, None)
+        else:
+            frames[0][key] = value
+    buffer = io.StringIO()
+    write_segment_file(buffer, frames)
+    buffer.seek(0)
+    return buffer

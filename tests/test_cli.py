@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -63,10 +65,56 @@ def test_run_and_analyze_round_trip(tmp_path, capsys):
     ]) == 0
     assert "campaign complete" in capsys.readouterr().out
 
+    # One export file plus its run manifest; no second copy beside it.
+    assert sorted(os.listdir(tmp_path)) == ["ds.json", "ds.manifest.json"]
+
     assert main(["analyze", dataset_path, "--figures", "fig3", "fig5"]) == 0
     out = capsys.readouterr().out
     assert "Fig 3" in out
     assert "Fig 5" in out
+
+
+def _export_with_version(path, version):
+    from .helpers import framed_export, make_client, make_dataset
+
+    text = framed_export(
+        make_dataset([make_client(0)]), format_version=version
+    ).getvalue()
+    path.write_text(text)
+
+
+@pytest.mark.parametrize("command", ["analyze", "replay"])
+@pytest.mark.parametrize(
+    "version, content",
+    [
+        (3, None),
+        (99, None),
+        (99, '{"format_version": 99, "clients": []}\n'),
+    ],
+    ids=["framed-v3", "framed-v99", "json-document-v99"],
+)
+def test_unsupported_export_version_is_one_line(
+    tmp_path, capsys, command, version, content
+):
+    path = tmp_path / "old.json"
+    if content is None:
+        _export_with_version(path, version)
+    else:
+        path.write_text(content)
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(path) in err
+    assert f"format version {version}" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "replay"])
+def test_missing_export_is_one_line(tmp_path, capsys, command):
+    path = tmp_path / "nope.json"
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(path) in err
 
 
 def test_run_with_history_hashes_dataset_once(tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ and trace data-digest), and the run manifest / exports carry the
 per-front-end load block.
 """
 
+import io
 import json
 
 import pytest
@@ -19,12 +20,7 @@ from repro.analysis.load import load_latency_tradeoff, shed_traffic_fractions
 from repro.errors import AnalysisError, ConfigurationError
 from repro.clients.population import ClientPopulationConfig
 from repro.faults import FaultPlan
-from repro.measurement.export import (
-    dataset_from_json,
-    dataset_to_json,
-    load_dataset,
-    save_dataset,
-)
+from repro.measurement.export import load_dataset, save_dataset
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.episodes import OverloadPlan
@@ -228,9 +224,11 @@ class TestTelemetryAndPersistence:
         assert restored.load_summary == fastroute_dataset.load_summary
         assert restored.digest() == fastroute_dataset.digest()
 
-    def test_legacy_json_round_trips_load_summary(self, fastroute_dataset):
-        document = dataset_to_json(fastroute_dataset)
-        restored = dataset_from_json(document)
+    def test_stream_round_trips_load_summary(self, fastroute_dataset):
+        buffer = io.StringIO()
+        save_dataset(fastroute_dataset, buffer)
+        buffer.seek(0)
+        restored = load_dataset(buffer)
         assert restored.load_summary == fastroute_dataset.load_summary
 
     def test_analyze_figures_render(self, fastroute_dataset):

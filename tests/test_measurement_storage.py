@@ -19,9 +19,11 @@ from repro.measurement.export import (
     save_dataset,
 )
 from repro.measurement.storage import (
+    RecoveryReport,
     atomic_write_text,
     footer_frame,
     format_frame,
+    iter_frames,
     read_segment_file,
     read_segment_text,
     write_segment_file,
@@ -79,6 +81,22 @@ class TestFraming:
         assert os.listdir(tmp_path) == ["note.json"]
 
 
+    def test_iter_frames_reads_one_line_per_frame(self):
+        pulled = []
+
+        def lines():
+            for line in io.StringIO(TestDamage()._segment_text(3)):
+                pulled.append(line)
+                yield line
+
+        report = RecoveryReport()
+        frames = iter_frames(lines(), report)
+        assert next(frames) == _frames(3)[0]
+        assert len(pulled) == 1
+        assert list(frames) == _frames(3)[1:]
+        assert report.complete and report.frames_total == 3
+
+
 class TestDamage:
     def _segment_text(self, n=4):
         buffer = io.StringIO()
@@ -131,6 +149,15 @@ class TestDamage:
         frames, report = read_segment_text("".join(lines), strict=False)
         assert report.frames_corrupt == 1
         assert [f["index"] for f in frames] == [1]
+
+    def test_carriage_return_stays_inside_its_frame(self, tmp_path):
+        path = tmp_path / "segment.jsonl"
+        lines = self._segment_text(3).splitlines(keepends=True)
+        lines[1] = lines[1].replace(",", "\r", 1)
+        path.write_bytes("".join(lines).encode("ascii"))
+        frames, report = read_segment_file(str(path), strict=False)
+        assert report.frames_corrupt == 1
+        assert [f["index"] for f in frames] == [0, 2]
 
     def test_missing_footer_strict(self):
         text = self._segment_text(2)
@@ -219,32 +246,12 @@ class TestDatasetRecovery:
         with pytest.raises(StorageError, match="unrecoverable"):
             recover_dataset(path)
 
-    def test_legacy_json_still_loads_but_cannot_recover(
-        self, dataset, tmp_path
-    ):
-        import json
-
-        from repro.measurement.export import dataset_to_json
-
-        path = str(tmp_path / "legacy.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(dataset_to_json(dataset), handle)
-        assert load_dataset(path).digest() == dataset.digest()
-        with pytest.raises(MeasurementError, match="no frame structure"):
-            recover_dataset(path)
-
     def test_missing_format_version_is_a_clear_error(self, dataset):
-        from repro.measurement.export import (
-            dataset_from_json,
-            dataset_to_json,
-        )
+        from .helpers import framed_export
 
-        obj = dataset_to_json(dataset)
-        del obj["format_version"]
         with pytest.raises(MeasurementError, match="no format version"):
-            dataset_from_json(obj)
-        obj["format_version"] = 999
+            load_dataset(framed_export(dataset, format_version=None))
         with pytest.raises(
             MeasurementError, match="unsupported dataset format version"
         ):
-            dataset_from_json(obj)
+            load_dataset(framed_export(dataset, format_version=999))

@@ -55,6 +55,14 @@ that campaign's wall time — the guard against the service loop drifting
 back to per-event queue hops.  The ratio is recorded in the
 ``--rss-manifest-out`` manifest under ``ingest_leg``.
 
+The export leg (always on) saves the serial matrix dataset through
+``save_dataset`` and loads it back through ``load_dataset``, under the
+same tracemalloc probe as the campaign it is compared with, and fails
+if the round trip takes more than :data:`MAX_EXPORT_RATIO` times that
+campaign's wall time or changes the dataset digest — the guard against
+the on-disk format drifting back to per-row decoding.  The ratio is
+recorded in the ``--rss-manifest-out`` manifest under ``export_leg``.
+
 The memory leg (``--memory-populations A,B``) runs the bounded campaign
 at two population sizes with a tracemalloc probe around each and fails
 if peak traced memory grows super-linearly in the population — the
@@ -81,7 +89,11 @@ from repro.analysis.anycast_perf import WORLD, anycast_penalty_ccdf
 from repro.analysis.poor_paths import poor_path_prevalence
 from repro.clients.population import ClientPopulationConfig
 from repro.faults import FaultPlan
-from repro.measurement.export import recover_dataset, save_dataset
+from repro.measurement.export import (
+    load_dataset,
+    recover_dataset,
+    save_dataset,
+)
 from repro.service import LiveService, ServiceConfig, events_from_dataset
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
@@ -107,6 +119,12 @@ MAX_DIGEST_RATIO = 1.0
 #: 200 /24s x 3 days on a 2-core host, one queue hop per beacon run
 #: measured 2.3x; one per event measured 7.9x).
 MAX_INGEST_RATIO = 4.0
+
+#: Most saving the serial matrix dataset and loading it back may take,
+#: as a multiple of that campaign's wall time (at the default 200 /24s x
+#: 3 days on a 2-core host, column blocks measured 0.37-0.63x; the
+#: per-row framed decode they replaced measured 0.60-0.98x, median 0.89x).
+MAX_EXPORT_RATIO = 0.75
 
 
 class _TimedRun:
@@ -240,6 +258,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ).run_stream(events_from_dataset(matrix.dataset))
         ingest_seconds = time.perf_counter() - ingest_started
     ingest_ratio = ingest_seconds / matrix.seconds
+    with tempfile.TemporaryDirectory(prefix="perf-smoke-") as tmpdir:
+        export_path = os.path.join(tmpdir, "matrix-dataset.json")
+        with MemoryProbe() as export_probe:
+            export_started = time.perf_counter()
+            save_dataset(matrix.dataset, export_path)
+            reloaded = load_dataset(export_path)
+            export_seconds = time.perf_counter() - export_started
+        export_bytes = os.path.getsize(export_path)
+    export_ratio = export_seconds / matrix.seconds
+    if reloaded.digest() != matrix_digest:
+        print("FAIL: matrix dataset digest changed across save + load")
+        return 1
 
     sharded_runner = ParallelCampaignRunner(
         scenario, CampaignConfig(engine="matrix"), workers=2
@@ -292,6 +322,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f"{ingest_seconds:.3f}s = {ingest_ratio:.2f}x campaign wall "
         f"(limit {MAX_INGEST_RATIO:.2f}x; peak traced memory "
         f"{ingest_probe.peak_bytes / 1e6:.1f} MB)"
+    )
+    print(
+        f"  matrix dataset save + load: {export_bytes / 1e6:.1f} MB in "
+        f"{export_seconds:.3f}s = {export_ratio:.2f}x campaign wall "
+        f"(limit {MAX_EXPORT_RATIO:.2f}x; peak traced memory "
+        f"{export_probe.peak_bytes / 1e6:.1f} MB); digest unchanged"
     )
     print("  matrix serial == 2-worker digest: ok")
     print("  matrix serial == 2-worker merged telemetry counters: ok")
@@ -481,6 +517,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "campaign_seconds": matrix.seconds,
                     "ratio": ingest_ratio,
                     "limit": MAX_INGEST_RATIO,
+                },
+                "export_leg": {
+                    "export_seconds": export_seconds,
+                    "export_bytes": export_bytes,
+                    "peak_traced_bytes": export_probe.peak_bytes,
+                    "campaign_seconds": matrix.seconds,
+                    "ratio": export_ratio,
+                    "limit": MAX_EXPORT_RATIO,
                 },
             },
         )
@@ -681,6 +725,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(
             f"FAIL: service replay took {ingest_ratio:.2f}x the matrix "
             f"campaign's wall time (limit {MAX_INGEST_RATIO:.2f}x)"
+        )
+        return 1
+    if export_ratio > MAX_EXPORT_RATIO:
+        print(
+            f"FAIL: dataset save + load took {export_ratio:.2f}x the "
+            f"matrix campaign's wall time (limit {MAX_EXPORT_RATIO:.2f}x)"
         )
         return 1
     return 0
