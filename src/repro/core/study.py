@@ -2,9 +2,11 @@
 
 :class:`AnycastStudy` stitches the whole reproduction together the way §3
 describes the measurement apparatus: build the environment, run the
-campaign once, then answer each figure from the collected dataset.  All
-figure methods are cached — the expensive parts (scenario build, campaign)
-run at most once per study instance.
+campaign once, then answer each figure from the collected dataset.  The
+expensive stages — :attr:`AnycastStudy.scenario` (scenario build) and
+:attr:`AnycastStudy.dataset` (the campaign) — are cached and run at most
+once per study instance; the figure methods are not cached and
+recompute their analysis from the dataset on every call.
 """
 
 from __future__ import annotations

@@ -858,6 +858,24 @@ class RequestDiffLog:
             self._sketches[key] = sketch
         return sketch
 
+    def load_sketch(
+        self, day: int, region_name: str, sketch: LatencySketch
+    ) -> None:
+        """Fold in one restored (day, region) diff sketch (bounded mode):
+        the inverse of :meth:`day_region_sketches` that exports restore
+        bounded logs through.  Raises :class:`MeasurementError` in exact
+        mode."""
+        if not self._bounded:
+            raise MeasurementError("exact diff log keeps rows, not sketches")
+        key = (day, region_name)
+        existing = self._sketches.get(key)
+        if existing is None:
+            self.region_code(region_name)
+            self._sketches[key] = sketch
+        else:
+            existing.merge(sketch)
+        self._total += sketch.count
+
     def observe(
         self,
         day: int,

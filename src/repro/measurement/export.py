@@ -25,12 +25,15 @@ temp file + atomic rename — whose data frames are column blocks:
   five little-endian columns (``<i4`` day, ``<i4`` client index, ``i1``
   region code, ``<f4`` anycast and best-unicast RTTs).
 
-Numeric columns are base64 of their raw bytes, so values — ``-0.0``,
-subnormals, NaN payloads — round-trip bit for bit.  Loads decode each
-block with a handful of numpy calls
-(:meth:`GroupedDailyAggregates.load_day_columns`,
-:meth:`RequestDiffLog.append_columns`), frame by frame as the file is
-read.  :func:`load_dataset` reads strictly; :func:`recover_dataset`
+:func:`column_frames` yields these frames with numeric columns as
+arrays in their storage dtype; the shard transport pickles them as they
+are, and :func:`save_dataset` writes them as base64 of their raw bytes,
+so values — ``-0.0``, subnormals, NaN payloads — round-trip bit for
+bit.  One reader decodes either form, block by block with a handful of
+numpy calls (:meth:`GroupedDailyAggregates.load_day_columns`,
+:meth:`RequestDiffLog.append_columns`): frame by frame as a file is
+read, or from a list (:func:`dataset_from_frames`).
+:func:`load_dataset` reads strictly; :func:`recover_dataset`
 salvages damaged files — skipping corrupt frames, truncating torn tails
 — and reports exactly what survived.  Versions 1-3 (the single JSON
 document and the per-row framed layouts) are no longer read: loading
@@ -41,7 +44,6 @@ from __future__ import annotations
 
 import base64
 import datetime
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
@@ -89,6 +91,12 @@ _DIFF_COLUMNS = (
     ("best_unicast", "<f4"),
 )
 
+#: Numeric cells of each frame kind, with their storage dtypes.
+_ARRAY_CELLS = {
+    "aggregates": (("counts", "<i8"), ("samples", "<f8")),
+    "request_diffs": _DIFF_COLUMNS,
+}
+
 _log = get_logger("export")
 
 
@@ -101,6 +109,21 @@ def _pack(values: np.ndarray, dtype: str) -> str:
 
 def _unpack(text: str, dtype: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text), dtype=np.dtype(dtype))
+
+
+def _cell(value: Union[str, np.ndarray], dtype: str) -> np.ndarray:
+    """A numeric cell as an array: base64 text when it was read from a
+    file, the array itself when it crossed a pipe."""
+    if isinstance(value, str):
+        return _unpack(value, dtype)
+    return np.asarray(value, dtype=np.dtype(dtype))
+
+
+def _packed(frame: Dict[str, Any]) -> Dict[str, Any]:
+    """The file form of a frame: its array cells as base64 text."""
+    cells = _ARRAY_CELLS.get(frame["kind"], ())
+    packed = {name: _pack(frame[name], dtype) for name, dtype in cells}
+    return {**frame, **packed}
 
 
 def digest_payload(digest: LatencyDigest) -> Any:
@@ -176,8 +199,8 @@ def _aggregate_block(
         "which": which,
         "day": day,
         "keys": columns.keys,
-        "counts": _pack(columns.counts, "<i8"),
-        "samples": _pack(columns.samples, "<f8"),
+        "counts": np.ascontiguousarray(columns.counts, dtype="<i8"),
+        "samples": np.ascontiguousarray(columns.samples, dtype="<f8"),
         "sketches": [
             [index, sketch.to_obj()] for index, sketch in columns.sketches
         ],
@@ -189,7 +212,7 @@ def _apply_aggregate_block(
 ) -> int:
     """Load one :func:`_aggregate_block` into a sink; returns the
     block's measurement count."""
-    counts = _unpack(frame["counts"], "<i8")
+    counts = _cell(frame["counts"], "<i8")
     aggregates.load_day_columns(
         int(frame["day"]),
         DayColumns(
@@ -199,14 +222,20 @@ def _apply_aggregate_block(
                 (int(index), LatencySketch.from_obj(obj))
                 for index, obj in frame["sketches"]
             ],
-            samples=_unpack(frame["samples"], "<f8"),
+            samples=_cell(frame["samples"], "<f8"),
         ),
     )
     return int(counts.sum())
 
 
-def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
-    """Yield a dataset as v4 frames (header, clients, data, no footer)."""
+def column_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
+    """Yield a dataset as v4 frames (header, clients, data, no footer).
+
+    Numeric cells are arrays in their storage dtype: the shard
+    transport pickles these frames as they are, and
+    :func:`save_dataset` packs the cells as base64 text on the way to
+    the file.  :func:`dataset_from_frames` reads either form.
+    """
     clients = dataset.clients
     client_chunks = max(
         1, (len(clients) + _CLIENT_CHUNK - 1) // _CLIENT_CHUNK
@@ -306,10 +335,15 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
             "kind": "request_diffs",
             "index": index,
             **{
-                name: _pack(column[rows], dtype)
+                name: np.ascontiguousarray(column[rows], dtype=dtype)
                 for (name, dtype), column in zip(_DIFF_COLUMNS, columns)
             },
         }
+
+
+def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
+    """The frames of a dataset's file, numeric cells packed as text."""
+    return map(_packed, column_frames(dataset))
 
 
 @dataclass
@@ -416,26 +450,17 @@ class _DatasetReader:
                 self.passive.record(day, "", frontend_id, int(count))
         elif kind == "diff_sketches":
             day = int(frame["day"])
-            diffs = self.diffs
             for region, sketch_obj in frame["rows"]:
-                sketch = LatencySketch.from_obj(sketch_obj)
-                diffs.region_code(region)
-                existing = diffs._sketches.get((day, region))
-                if existing is None:
-                    diffs._sketches[(day, region)] = sketch
-                else:
-                    existing.merge(sketch)
-                diffs._total += sketch.count
+                self.diffs.load_sketch(
+                    day, region, LatencySketch.from_obj(sketch_obj)
+                )
         elif kind == "request_diffs":
             # Row order matters for the diff columns: apply chunks in
             # index order and drop everything after a gap.
             if int(frame["index"]) != self.next_diff_chunk:
                 return
             self.diffs.append_columns(
-                *(
-                    _unpack(frame[name], dtype)
-                    for name, dtype in _DIFF_COLUMNS
-                )
+                *(_cell(frame[name], dtype) for name, dtype in _DIFF_COLUMNS)
             )
             self.next_diff_chunk += 1
 
@@ -479,9 +504,11 @@ class _DatasetReader:
             request_diffs=self.diffs,
             passive=self.passive,
             beacon_count=recovery.claimed_beacon_count,
+            # The header's claim stands unless frames were lost; a
+            # salvaged dataset counts what survived.
             measurement_count=(
                 recovery.claimed_measurement_count
-                if recovery.complete
+                if report.complete
                 else self.ecs_measurements
             ),
             covered_ranges=(
@@ -507,31 +534,37 @@ def _legacy_document_error(first_line: str, source: str) -> MeasurementError:
     )
 
 
+def _checked_lines(handle: IO[str], source: str) -> Iterator[str]:
+    """An export's lines, refusing a single-JSON-document export."""
+    first_line = handle.readline()
+    if first_line.lstrip().startswith("{"):
+        raise _legacy_document_error(first_line, source)
+    yield first_line
+    yield from handle
+
+
 def _read_dataset(
     path_or_file: Union[str, IO[str]], strict: bool
 ) -> Tuple[StudyDataset, DatasetRecovery]:
     """Stream an export's frames into a dataset (see :func:`load_dataset`
     and :func:`recover_dataset` for the two postures)."""
+    report = RecoveryReport()
     try:
         with open_segment(path_or_file) as (handle, source):
-            return _read_frames(handle, source, strict)
+            lines = _checked_lines(handle, source)
+            frames = iter_frames(lines, report, strict, source)
+            return _apply_frames(frames, report, source)
     except OSError as error:
         raise MeasurementError(
             f"{path_or_file}: cannot read dataset export ({error})"
         ) from error
 
 
-def _read_frames(
-    handle: IO[str], source: str, strict: bool
+def _apply_frames(
+    frames: Iterator[Dict[str, Any]], report: RecoveryReport, source: str
 ) -> Tuple[StudyDataset, DatasetRecovery]:
-    report = RecoveryReport()
+    """Feed a header frame and its data frames through one reader."""
     try:
-        first_line = handle.readline()
-        if first_line.lstrip().startswith("{"):
-            raise _legacy_document_error(first_line, source)
-        frames = iter_frames(
-            itertools.chain([first_line], handle), report, strict, source
-        )
         header = next(frames, None)
         if header is None or header.get("kind") != "header":
             raise StorageError(
@@ -546,6 +579,16 @@ def _read_frames(
         raise MeasurementError(
             f"{source}: malformed dataset export ({error!r})"
         ) from error
+
+
+def dataset_from_frames(
+    frames: List[Dict[str, Any]], source: str
+) -> StudyDataset:
+    """Rebuild a dataset from a complete, verified list of
+    :func:`column_frames` — :func:`load_dataset`'s reader, in memory."""
+    report = RecoveryReport(frames_total=len(frames), footer_seen=True)
+    dataset, _ = _apply_frames(iter(frames), report, source)
+    return dataset
 
 
 # ----------------------------------------------------------------------

@@ -550,8 +550,8 @@ class LatencySketch:
         return h.hexdigest()
 
     def column_state(self) -> Dict[str, Any]:
-        """Columnar state for zero-copy transport: sorted key/count
-        arrays (int64) per signed store, plus the exact scalars."""
+        """Columnar state for serialization: sorted key/count arrays
+        (int64) per signed store, plus the exact scalars."""
         pos_keys = np.asarray(sorted(self._pos), dtype=np.int64)
         neg_keys = np.asarray(sorted(self._neg), dtype=np.int64)
         return {

@@ -591,6 +591,7 @@ def validate_dataset(
                     kept,
                     exact_threshold=digest.exact_threshold,
                     relative_accuracy=digest.relative_accuracy,
+                    max_buckets=digest.max_buckets,
                 )
                 aggregates._days[day][group][target_id] = replacement
     diffs = dataset.request_diffs

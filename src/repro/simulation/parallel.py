@@ -32,10 +32,11 @@ retries either raises :class:`repro.errors.ShardFailureError` or — with
 ``allow_partial`` — is dropped, leaving a partial dataset whose
 :meth:`~repro.simulation.dataset.StudyDataset.missing_ranges` names the
 gap.  Every shard payload crosses the process boundary inside an
-integrity envelope (SHA-256 over the columnar transport bytes of
-:mod:`repro.simulation.transport` — raw sample/sketch buffers plus a
-small manifest, shipped via shared memory where available), so
-corruption in transit is detected rather than merged.
+integrity envelope (SHA-256 over the payload bytes of
+:mod:`repro.simulation.transport` — the shard's export frames, the same
+column blocks a checkpoint file holds, pickled with its stats and
+shipped via shared memory where available), so corruption in transit
+is detected rather than merged.
 
 Workers rebuild the scenario from its :class:`ScenarioConfig` — scenario
 construction is cheap relative to a multi-day campaign and avoids
@@ -161,12 +162,13 @@ class _ShardTask:
 
 @dataclasses.dataclass(frozen=True)
 class _ShardEnvelope:
-    """A shard result in transit: columnar payload plus integrity hash.
+    """A shard result in transit: encoded payload plus integrity hash.
 
-    The payload is the columnar encoding of
-    :func:`repro.simulation.transport.encode_shard_payload` — raw
-    sample/sketch buffers plus a pickled manifest, never the client
-    population.  It travels either inline (``payload``) or through a
+    The payload is the encoding of
+    :func:`repro.simulation.transport.encode_shard_payload` — the
+    shard dataset's export frames (numeric cells as arrays) pickled
+    with its stats, telemetry snapshot and quarantine.  It travels
+    either inline (``payload``) or through a
     shared-memory block (``shm_name``); ``payload_size`` is the exact
     byte length either way.  The hash is computed over the encoded
     bytes *before* any (injected or organic) corruption, so the

@@ -1,48 +1,28 @@
-"""Columnar shard-result transport for parallel campaigns.
+"""Shard-result transport for parallel campaigns.
 
-A shard result used to cross the process boundary as one pickle of the
-whole ``(dataset, stats, snapshot, quarantine)`` tuple — including the
-full client population (identical in every shard) and a per-sample
-object graph.  This module replaces that with a columnar encoding:
+A worker's partial dataset crosses the process boundary as the frames
+of its own export (:func:`repro.measurement.export.column_frames`,
+numeric cells left as arrays), pickled once with the shard's stats,
+telemetry snapshot and quarantine: ``MAGIC | pickle((frames, stats,
+snapshot, quarantine))``.  The coordinator reads the frames with the
+export's reader (:func:`repro.measurement.export.dataset_from_frames`),
+so a shard in a pipe and a checkpoint in a file share one codec.  The
+SHA-256 envelope in :mod:`repro.simulation.parallel` hashes these
+bytes, so corruption anywhere is detected before a merge.
 
-* the **manifest** — everything small (counts, calendar, stats,
-  telemetry snapshot, quarantine, sink configuration, and a table
-  describing the data buffers) — is pickled once;
-* the **data buffers** — latency-sample arrays, sketch key/count
-  arrays, and the request-diff columns — are appended as raw contiguous
-  bytes, no per-element serialization;
-* the **client population is not shipped at all**: every shard rebuilds
-  the same scenario, so the coordinator re-homes decoded datasets onto
-  its own client tuple (it already did this after merging).
-
-Layout: ``MAGIC | u64 manifest length | manifest | buffer bytes...``.
-The existing SHA-256 integrity check hashes these encoded bytes
-directly, so corruption anywhere — manifest or raw buffers — is
-detected before a merge.
-
-When ``multiprocessing.shared_memory`` is available and the payload is
-large enough, workers ship the encoded bytes through a shared-memory
-block and the envelope carries only its name; otherwise (platforms
-without it, tiny payloads, in-process pools) the bytes travel inline
+Large payloads ship through a ``multiprocessing.shared_memory`` block
+where available, the envelope carrying only its name; otherwise (no
+shared memory, tiny payloads, in-process pools) the bytes travel inline
 through the normal pool pipe.
 """
 
 from __future__ import annotations
 
 import pickle
-import struct
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Any, Optional, Tuple
 
 from repro.errors import MeasurementError
-from repro.measurement.aggregate import (
-    DayColumns,
-    GroupedDailyAggregates,
-    RequestDiffLog,
-)
-from repro.measurement.logs import PassiveLog
-from repro.measurement.sketch import LatencySketch
+from repro.measurement.export import column_frames, dataset_from_frames
 from repro.simulation.dataset import StudyDataset
 from repro.telemetry import get_logger
 
@@ -57,213 +37,13 @@ except ImportError:  # pragma: no cover - exercised only where absent
 
 _log = get_logger("transport")
 
-#: Leading bytes of every columnar shard payload.
-MAGIC = b"RPRO-SHARD4\x00"
+#: Leading bytes of every shard payload.
+MAGIC = b"RPRO-SHARD5\x00"
 
 #: Payloads smaller than this ship inline even when shared memory is
 #: available — a shared-memory block has fixed setup cost that only
 #: pays off for real data volumes.
 SHM_MIN_BYTES = 256 * 1024
-
-_LEN = struct.Struct("<Q")
-
-
-class _ColumnWriter:
-    """Collects contiguous arrays; returns table indices for specs."""
-
-    def __init__(self) -> None:
-        self.table: List[Tuple[str, int]] = []
-        self.chunks: List[bytes] = []
-
-    def put(self, values: np.ndarray) -> int:
-        arr = np.ascontiguousarray(values)
-        self.table.append((arr.dtype.str, int(arr.size)))
-        self.chunks.append(arr.tobytes())
-        return len(self.table) - 1
-
-
-class _ColumnReader:
-    """Resolves table indices back into zero-copy numpy views."""
-
-    def __init__(self, table: List[Tuple[str, int]], data: memoryview) -> None:
-        self._views: List[np.ndarray] = []
-        offset = 0
-        for dtype_str, size in table:
-            dtype = np.dtype(dtype_str)
-            nbytes = dtype.itemsize * size
-            self._views.append(
-                np.frombuffer(data[offset : offset + nbytes], dtype=dtype)
-            )
-            offset += nbytes
-        self.consumed = offset
-
-    def get(self, index: int) -> np.ndarray:
-        return self._views[index]
-
-
-def _sketch_spec(sketch: LatencySketch, columns: _ColumnWriter) -> Dict[str, Any]:
-    state = sketch.column_state()
-    return {
-        "mantissa_bits": state["mantissa_bits"],
-        "base_mantissa_bits": state["base_mantissa_bits"],
-        "max_buckets": state["max_buckets"],
-        "min_trackable": state["min_trackable"],
-        "pos_keys": columns.put(state["pos_keys"]),
-        "pos_counts": columns.put(state["pos_counts"]),
-        "neg_keys": columns.put(state["neg_keys"]),
-        "neg_counts": columns.put(state["neg_counts"]),
-        "zero": state["zero"],
-        "count": state["count"],
-        "min": state["min"],
-        "max": state["max"],
-        "sum": state["sum"],
-    }
-
-
-def _sketch_from_spec(
-    spec: Dict[str, Any], columns: _ColumnReader
-) -> LatencySketch:
-    return LatencySketch.from_columns(
-        mantissa_bits=spec["mantissa_bits"],
-        base_mantissa_bits=spec["base_mantissa_bits"],
-        max_buckets=spec["max_buckets"],
-        min_trackable=spec["min_trackable"],
-        pos_keys=columns.get(spec["pos_keys"]),
-        pos_counts=columns.get(spec["pos_counts"]),
-        neg_keys=columns.get(spec["neg_keys"]),
-        neg_counts=columns.get(spec["neg_counts"]),
-        zero=spec["zero"],
-        count=spec["count"],
-        minimum=spec["min"],
-        maximum=spec["max"],
-        total=spec["sum"],
-    )
-
-
-def _aggregates_spec(
-    aggregates: GroupedDailyAggregates, columns: _ColumnWriter
-) -> Dict[str, Any]:
-    # One day travels as its DayColumns: keys in iter_day order, one
-    # count column, and every exact sample coalesced into one float64
-    # column.  One tobytes per day instead of one per digest is what
-    # keeps encode (and the bulk decode) at memcpy speed — a paper-scale
-    # day holds tens of thousands of digests.
-    days: Dict[int, Dict[str, Any]] = {}
-    for day in aggregates.days:
-        day_columns = aggregates.day_columns(day, ordered=False)
-        days[day] = {
-            "keys": day_columns.keys,
-            "counts": columns.put(day_columns.counts),
-            "samples": columns.put(day_columns.samples),
-            "sketches": [
-                [index, _sketch_spec(sketch, columns)]
-                for index, sketch in day_columns.sketches
-            ],
-        }
-    return {
-        "grouping": aggregates.grouping,
-        "exact_threshold": aggregates.exact_threshold,
-        "relative_accuracy": aggregates.relative_accuracy,
-        "max_buckets": aggregates.max_buckets,
-        "days": days,
-    }
-
-
-def _aggregates_from_spec(
-    spec: Dict[str, Any], columns: _ColumnReader
-) -> GroupedDailyAggregates:
-    aggregates = GroupedDailyAggregates(
-        spec["grouping"],
-        exact_threshold=spec["exact_threshold"],
-        relative_accuracy=spec["relative_accuracy"],
-        max_buckets=spec["max_buckets"],
-    )
-    for day, day_spec in spec["days"].items():
-        aggregates.load_day_columns(
-            int(day),
-            DayColumns(
-                keys=day_spec["keys"],
-                counts=columns.get(day_spec["counts"]),
-                sketches=[
-                    (index, _sketch_from_spec(sketch_spec, columns))
-                    for index, sketch_spec in day_spec["sketches"]
-                ],
-                samples=columns.get(day_spec["samples"]),
-            ),
-        )
-    return aggregates
-
-
-def _diffs_spec(diffs: RequestDiffLog, columns: _ColumnWriter) -> Dict[str, Any]:
-    if diffs.is_bounded:
-        return {
-            "bounded": True,
-            "relative_accuracy": diffs.relative_accuracy,
-            "max_buckets": diffs.max_buckets,
-            "region_names": list(diffs.region_names),
-            "total": len(diffs),
-            "sketches": [
-                [day, region, _sketch_spec(sketch, columns)]
-                for (day, region), sketch in sorted(
-                    diffs.day_region_sketches().items()
-                )
-            ],
-        }
-    return {
-        "bounded": False,
-        "region_names": list(diffs.region_names),
-        "columns": [columns.put(column) for column in diffs.columns()],
-    }
-
-
-def _diffs_from_spec(
-    spec: Dict[str, Any], columns: _ColumnReader
-) -> RequestDiffLog:
-    if spec["bounded"]:
-        diffs = RequestDiffLog(
-            bounded=True,
-            relative_accuracy=spec["relative_accuracy"],
-            max_buckets=spec["max_buckets"],
-        )
-        for name in spec["region_names"]:
-            diffs.region_code(name)
-        for day, region, sketch_spec in spec["sketches"]:
-            diffs._sketches[(int(day), region)] = _sketch_from_spec(
-                sketch_spec, columns
-            )
-        diffs._total = int(spec["total"])
-        return diffs
-    diffs = RequestDiffLog()
-    for name in spec["region_names"]:
-        diffs.region_code(name)
-    diffs.append_columns(*(columns.get(i) for i in spec["columns"]))
-    return diffs
-
-
-def _passive_spec(passive: PassiveLog) -> Dict[str, Any]:
-    if passive.is_bounded:
-        return {
-            "bounded": True,
-            "totals": {
-                day: passive.day_totals(day) for day in passive.days
-            },
-        }
-    return {"bounded": False, "days": passive._days}
-
-
-def _passive_from_spec(spec: Dict[str, Any]) -> PassiveLog:
-    if spec["bounded"]:
-        passive = PassiveLog(bounded=True)
-        for day, totals in spec["totals"].items():
-            for frontend_id, count in totals.items():
-                passive.record(int(day), "", frontend_id, int(count))
-        return passive
-    passive = PassiveLog()
-    for day, per_client in spec["days"].items():
-        for client_key, counts in per_client.items():
-            for frontend_id, count in counts.items():
-                passive.record(int(day), client_key, frontend_id, int(count))
-    return passive
 
 
 def encode_shard_payload(
@@ -272,92 +52,46 @@ def encode_shard_payload(
     snapshot: Any,
     quarantine: Any,
 ) -> bytes:
-    """Encode one shard's results as columnar transport bytes."""
-    columns = _ColumnWriter()
-    manifest = {
-        "calendar": dataset.calendar,
-        "beacon_count": dataset.beacon_count,
-        "measurement_count": dataset.measurement_count,
-        "covered_ranges": dataset.covered_ranges,
-        "load_summary": dataset.load_summary,
-        "client_count": len(dataset.clients),
-        "ecs": _aggregates_spec(dataset.ecs_aggregates, columns),
-        "ldns": _aggregates_spec(dataset.ldns_aggregates, columns),
-        "diffs": _diffs_spec(dataset.request_diffs, columns),
-        "passive": _passive_spec(dataset.passive),
-        "stats": stats,
-        "snapshot": snapshot,
-        "quarantine": quarantine,
-        "columns": columns.table,
-    }
-    manifest_bytes = pickle.dumps(manifest, protocol=pickle.HIGHEST_PROTOCOL)
-    return b"".join(
-        [MAGIC, _LEN.pack(len(manifest_bytes)), manifest_bytes]
-        + columns.chunks
+    """Encode one shard's results as its export frames plus extras."""
+    frames = list(column_frames(dataset))
+    return MAGIC + pickle.dumps(
+        (frames, stats, snapshot, quarantine),
+        protocol=pickle.HIGHEST_PROTOCOL,
     )
 
 
 def decode_shard_payload(
     payload: bytes, clients: Tuple[Any, ...]
 ) -> Tuple[StudyDataset, Any, Any, Any]:
-    """Decode columnar transport bytes back into shard results.
-
-    ``clients`` is the coordinator's own client tuple — shards never
-    ship theirs (every shard rebuilds an identical population).
+    """Decode shard payload bytes back into shard results, re-homed on
+    ``clients`` (the coordinator's own tuple; every shard rebuilds an
+    equal population).
 
     Raises:
-        MeasurementError: when the payload is not a columnar shard
-            encoding or its buffer table disagrees with its length (the
-            SHA-256 envelope check should catch corruption first; this
-            is the structural backstop).
+        MeasurementError: when the payload is not a shard encoding, is
+            damaged (the structural backstop behind the SHA-256
+            envelope), or covers a different client population.
     """
     if payload[: len(MAGIC)] != MAGIC:
-        raise MeasurementError(
-            "shard payload is not a columnar transport encoding"
+        raise MeasurementError("shard payload is not a shard encoding")
+    try:
+        frames, stats, snapshot, quarantine = pickle.loads(
+            memoryview(payload)[len(MAGIC) :]
         )
-    header_end = len(MAGIC) + _LEN.size
-    if len(payload) < header_end:
+        dataset = dataset_from_frames(frames, "shard payload")
+    except MeasurementError:
+        raise
+    except Exception as error:
         raise MeasurementError(
-            "shard payload truncated inside its length header"
-        )
-    (manifest_len,) = _LEN.unpack(payload[len(MAGIC) : header_end])
-    manifest_end = header_end + manifest_len
-    if manifest_end > len(payload):
-        raise MeasurementError(
-            "shard payload truncated inside its manifest"
-        )
-    manifest = pickle.loads(payload[header_end:manifest_end])
-    columns = _ColumnReader(
-        manifest["columns"], memoryview(payload)[manifest_end:]
-    )
-    if manifest_end + columns.consumed != len(payload):
-        raise MeasurementError(
-            "shard payload length disagrees with its buffer table"
-        )
-    if manifest["client_count"] != len(clients):
+            f"shard payload is damaged ({error!r})"
+        ) from error
+    if len(dataset.clients) != len(clients):
         raise MeasurementError(
             "shard payload was produced over a different client "
-            f"population ({manifest['client_count']} != {len(clients)})"
+            f"population ({len(dataset.clients)} != {len(clients)})"
         )
-    dataset = StudyDataset(
-        calendar=manifest["calendar"],
-        clients=clients,
-        ecs_aggregates=_aggregates_from_spec(manifest["ecs"], columns),
-        ldns_aggregates=_aggregates_from_spec(manifest["ldns"], columns),
-        request_diffs=_diffs_from_spec(manifest["diffs"], columns),
-        passive=_passive_from_spec(manifest["passive"]),
-        beacon_count=manifest["beacon_count"],
-        measurement_count=manifest["measurement_count"],
-        covered_ranges=manifest["covered_ranges"],
-        # .get(): payloads written before load awareness carry no key.
-        load_summary=manifest.get("load_summary"),
-    )
-    return (
-        dataset,
-        manifest["stats"],
-        manifest["snapshot"],
-        manifest["quarantine"],
-    )
+    dataset.clients = clients
+    return dataset, stats, snapshot, quarantine
 
 
 # ----------------------------------------------------------------------

@@ -110,7 +110,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.measurement.aggregate import GroupedDailyAggregates
-from repro.measurement.export import _aggregate_block, _apply_aggregate_block
+from repro.measurement.export import (
+    _aggregate_block,
+    _apply_aggregate_block,
+    _packed,
+)
 
 
 @given(
@@ -131,7 +135,8 @@ def test_aggregate_serialization_round_trip_property(samples):
         before.observe(day, group, target, rtt)
     after = GroupedDailyAggregates("ecs")
     for day in before.days:
-        block = json.loads(json.dumps(_aggregate_block("ecs", before, day)))
+        block = _packed(_aggregate_block("ecs", before, day))
+        block = json.loads(json.dumps(block))
         _apply_aggregate_block(after, block)
     assert after.days == before.days
     for day in before.days:

@@ -281,3 +281,28 @@ class TestValidateDataset:
         digest.add(float("inf"))
         with pytest.raises(ValidationError):
             validate_dataset(dataset, "strict")
+
+    def test_lenient_scan_keeps_the_sketch_bucket_cap(self):
+        """A rescanned digest keeps its sink's bucket cap, so the sink
+        still merges with a peer of the same sketch configuration."""
+        from repro.measurement.aggregate import GroupedDailyAggregates
+        from tests.helpers import make_client, make_dataset
+
+        def sink():
+            return GroupedDailyAggregates(
+                "ecs", exact_threshold=8, max_buckets=16
+            )
+
+        dataset = make_dataset([make_client(0)])
+        dataset.ecs_aggregates = sink()
+        dataset.ecs_aggregates.observe_many(
+            0, "g", "fe-a", [10.0, float("nan")]
+        )
+        validate_dataset(dataset, "lenient")
+        (_, _, digest), = dataset.ecs_aggregates.iter_day(0)
+        assert digest.max_buckets == 16
+        peer = sink()
+        peer.observe_many(0, "g", "fe-a", [float(v) for v in range(1, 12)])
+        dataset.ecs_aggregates.merge(peer)
+        (_, _, merged), = dataset.ecs_aggregates.iter_day(0)
+        assert merged.count == 12 and not merged.is_exact

@@ -4,7 +4,7 @@ Covers the promotion contract (exact small-N behavior preserved; sketch
 state canonical regardless of when promotion happened), the bounded
 request-diff and passive logs, dataset digest stability in bounded mode,
 the framed v3 export round trip (sketch frames included, torn tails
-salvaged), and the columnar shard transport.
+salvaged), and the shard transport (the export's frames through a pipe).
 """
 
 import io
@@ -313,3 +313,41 @@ def test_transport_rejects_structural_damage(bounded_dataset):
     truncated = payload[: len(MAGIC) + 6]
     with pytest.raises(MeasurementError):
         decode_shard_payload(truncated, bounded_dataset.clients)
+
+
+def _diff_state(diffs):
+    """A diff log's stored state as bytes: row columns (exact) or the
+    per-(day, region) sketches (bounded)."""
+    if diffs.is_bounded:
+        return {
+            key: sketch.to_obj()
+            for key, sketch in sorted(diffs.day_region_sketches().items())
+        }
+    return [column.tobytes() for column in diffs.columns()]
+
+
+@pytest.mark.parametrize("which", ["small_dataset", "bounded_dataset"])
+def test_transport_and_export_share_one_codec(which, request):
+    """A shard through the pipe and a dataset through a file come back
+    the same: equal digests, equal iteration order, equal diff bytes."""
+    dataset = request.getfixturevalue(which)
+    piped, _, _, _ = decode_shard_payload(
+        encode_shard_payload(dataset, None, None, None), dataset.clients
+    )
+    buffer = io.StringIO()
+    save_dataset(dataset, buffer)
+    buffer.seek(0)
+    filed = load_dataset(buffer)
+    assert piped.digest() == filed.digest() == dataset.digest()
+    assert piped.clients is dataset.clients
+    for sink in ("ecs_aggregates", "ldns_aggregates"):
+        a, b = getattr(piped, sink), getattr(filed, sink)
+        assert a.days == b.days
+        for day in a.days:
+            assert [(g, t) for g, t, _ in a.iter_day(day)] == [
+                (g, t) for g, t, _ in b.iter_day(day)
+            ]
+    assert _diff_state(piped.request_diffs) == _diff_state(
+        filed.request_diffs
+    )
+    assert len(piped.request_diffs) == len(dataset.request_diffs)
