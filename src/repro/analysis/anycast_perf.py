@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import AnalysisError
 from repro.analysis.stats import (
     CdfSeries,
@@ -60,6 +62,18 @@ class AnycastPenaltyResult:
         return "\n".join(lines)
 
 
+def _fractions_above(
+    ordered: np.ndarray, xs: Sequence[float]
+) -> Tuple[float, ...]:
+    """Share of the sorted values strictly above each ``x``, computed as
+    :meth:`WeightedDistribution.fraction_above` does for unit weights
+    (``1.0 - count_le / n``), so the floats are the same."""
+    count_le = np.searchsorted(
+        ordered, np.asarray(xs, dtype=np.float64), side="right"
+    )
+    return tuple((1.0 - count_le / ordered.size).tolist())
+
+
 def anycast_penalty_ccdf(
     dataset: StudyDataset,
     regions: Sequence[str] = (EUROPE, WORLD, UNITED_STATES),
@@ -67,42 +81,48 @@ def anycast_penalty_ccdf(
 ) -> AnycastPenaltyResult:
     """Compute Fig 3 from the per-request diff log.
 
-    Works in both diff-log modes: an exact log computes the CCDF over
-    its raw rows; a bounded log answers from its merged per-region
-    sketches, within the sketch's relative error bound.
+    Works in both diff-log modes: an exact log sorts the float64
+    ``anycast - best`` column of :meth:`RequestDiffLog.columns` once per
+    region (a region-code mask) and counts it at the grid; a bounded log
+    answers from its merged per-region sketches, within the sketch's
+    relative error bound.
     """
     diffs = dataset.request_diffs
     if len(diffs) == 0:
         raise AnalysisError("no beacon requests recorded")
     grid = linear_grid(0.0, 100.0, 5.0)
+    xs = tuple(float(x) for x in grid)
+    cuts = tuple(threshold - 1e-9 for threshold in thresholds)
     series: List[CdfSeries] = []
     fraction_slower: Dict[str, Dict[float, float]] = {}
+    if not diffs.is_bounded:
+        _, _, codes, anycast, best = diffs.columns()
+        penalty = anycast.astype(np.float64) - best.astype(np.float64)
+        known = dict(zip(diffs.region_names, range(len(diffs.region_names))))
     for region in regions:
         region_name = None if region == WORLD else region
         if diffs.is_bounded:
             sketch = diffs.diff_sketch(region_name)
             if sketch is None or sketch.count == 0:
                 continue
-            series.append(
-                CdfSeries(
-                    label=region,
-                    xs=tuple(float(x) for x in grid),
-                    ys=tuple(sketch.fraction_above(x) for x in grid),
-                )
-            )
-            fraction_slower[region] = {
-                float(threshold): sketch.fraction_above(threshold - 1e-9)
-                for threshold in thresholds
-            }
-            continue
-        values = diffs.diffs(region_name)
-        if not values:
-            continue
-        dist = WeightedDistribution(values)
-        series.append(dist.ccdf_series(region, grid))
+            ys = tuple(sketch.fraction_above(x) for x in grid)
+            above = tuple(sketch.fraction_above(cut) for cut in cuts)
+        else:
+            if region_name is None:
+                values = penalty
+            elif region_name in known:
+                values = penalty[codes == known[region_name]]
+            else:
+                continue
+            if not values.size:
+                continue
+            ordered = np.sort(values)
+            ys = _fractions_above(ordered, xs)
+            above = _fractions_above(ordered, cuts)
+        series.append(CdfSeries(label=region, xs=xs, ys=ys))
         fraction_slower[region] = {
-            float(threshold): dist.fraction_above(threshold - 1e-9)
-            for threshold in thresholds
+            float(threshold): fraction
+            for threshold, fraction in zip(thresholds, above)
         }
     if not series:
         raise AnalysisError("no requests matched any requested region")

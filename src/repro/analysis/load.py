@@ -42,19 +42,23 @@ def _daily_anycast_percentiles(
 
     Working from per-group medians (not raw samples) keeps the figure
     available in bounded-sketch mode and mirrors the per-/24-day framing
-    the poor-path figures use.
+    the poor-path figures use; the medians come from the same bulk
+    :meth:`~repro.measurement.aggregate.GroupedDailyAggregates.day_percentiles`
+    table.
     """
     result: Dict[int, Tuple[float, float, int]] = {}
     aggregates = dataset.ecs_aggregates
     for day in aggregates.days:
-        medians: List[float] = []
-        for _group, target_id, digest in aggregates.iter_day(day):
-            if target_id != ANYCAST_TARGET or digest.count < min_samples:
-                continue
-            medians.append(digest.median())
+        table = aggregates.day_percentiles(day, (50.0,), min_samples)
+        medians = sorted(
+            median
+            for target_id, median in zip(
+                table.targets, table.values[:, 0].tolist()
+            )
+            if target_id == ANYCAST_TARGET
+        )
         if not medians:
             continue
-        medians.sort()
         result[day] = (
             percentile(medians, 50.0),
             percentile(medians, 95.0),

@@ -10,8 +10,11 @@ many *consecutive* days) each ever-poor /24 stayed poor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import AnalysisError
 from repro.analysis.stats import CdfSeries, WeightedDistribution, linear_grid
@@ -34,6 +37,50 @@ class DailyImprovement:
         return self.anycast_median_ms - self.best_unicast_median_ms
 
 
+class _DayMedians(NamedTuple):
+    """One day's measurable /24s as columns (see :func:`_day_medians`)."""
+
+    day: int
+    groups: List[str]
+    anycast_ms: np.ndarray
+    best_unicast_ms: np.ndarray
+
+
+def _day_medians(
+    dataset: StudyDataset, min_samples: int
+) -> Iterator[_DayMedians]:
+    """Per day: every /24 with ``min_samples`` anycast measurements and
+    as many for at least one unicast front-end, with its anycast median
+    and its best unicast median, in :meth:`iter_day` group order.
+
+    The medians are one bulk
+    :meth:`~repro.measurement.aggregate.GroupedDailyAggregates.day_percentiles`
+    table per day.
+    """
+    if min_samples < 1:
+        raise AnalysisError("min_samples must be >= 1")
+    aggregates = dataset.ecs_aggregates
+    for day in aggregates.days:
+        table = aggregates.day_percentiles(day, (50.0,), min_samples)
+        medians = table.values[:, 0]
+        count = len(table.groups)
+        codes = np.repeat(np.arange(count), np.diff(table.group_rows))
+        on_anycast = np.array(table.targets, dtype=object) == ANYCAST_TARGET
+        anycast = np.full(count, np.nan)
+        anycast[codes[on_anycast]] = medians[on_anycast]
+        best = np.full(count, np.inf)
+        np.minimum.at(best, codes[~on_anycast], medians[~on_anycast])
+        measurable = ~np.isnan(anycast) & (
+            np.bincount(codes[~on_anycast], minlength=count) > 0
+        )
+        yield _DayMedians(
+            day=day,
+            groups=list(itertools.compress(table.groups, measurable.tolist())),
+            anycast_ms=anycast[measurable],
+            best_unicast_ms=best[measurable],
+        )
+
+
 def daily_improvements(
     dataset: StudyDataset, min_samples: int = 10
 ) -> Dict[int, Dict[str, DailyImprovement]]:
@@ -43,36 +90,22 @@ def daily_improvements(
     front-end each have ``min_samples`` measurements, mirroring the
     paper's use of per-day medians over collected client measurements.
     """
-    if min_samples < 1:
-        raise AnalysisError("min_samples must be >= 1")
-    result: Dict[int, Dict[str, DailyImprovement]] = {}
-    aggregates = dataset.ecs_aggregates
-    for day in aggregates.days:
-        anycast_median: Dict[str, float] = {}
-        best_unicast: Dict[str, float] = {}
-        for group, target_id, digest in aggregates.iter_day(day):
-            if digest.count < min_samples:
-                continue
-            median = digest.median()
-            if target_id == ANYCAST_TARGET:
-                anycast_median[group] = median
-            else:
-                current = best_unicast.get(group)
-                if current is None or median < current:
-                    best_unicast[group] = median
-        per_day: Dict[str, DailyImprovement] = {}
-        for group, anycast in anycast_median.items():
-            unicast = best_unicast.get(group)
-            if unicast is None:
-                continue
-            per_day[group] = DailyImprovement(
-                day=day,
+    return {
+        columns.day: {
+            group: DailyImprovement(
+                day=columns.day,
                 client_key=group,
                 anycast_median_ms=anycast,
-                best_unicast_median_ms=unicast,
+                best_unicast_median_ms=best,
             )
-        result[day] = per_day
-    return result
+            for group, anycast, best in zip(
+                columns.groups,
+                columns.anycast_ms.tolist(),
+                columns.best_unicast_ms.tolist(),
+            )
+        }
+        for columns in _day_medians(dataset, min_samples)
+    }
 
 
 @dataclass(frozen=True)
@@ -125,21 +158,16 @@ def poor_path_prevalence(
     millisecond timing, "any improvement" means at least 1 ms."""
     if not thresholds:
         raise AnalysisError("need at least one threshold")
-    improvements = daily_improvements(dataset, min_samples)
     daily_fractions: Dict[int, Dict[float, float]] = {}
-    for day, per_day in improvements.items():
-        if not per_day:
+    for columns in _day_medians(dataset, min_samples):
+        count = len(columns.groups)
+        if not count:
             continue
-        count = len(per_day)
-        fractions = {}
-        for threshold in thresholds:
-            poor = sum(
-                1
-                for improvement in per_day.values()
-                if improvement.improvement_ms >= threshold
-            )
-            fractions[float(threshold)] = poor / count
-        daily_fractions[day] = fractions
+        improvement = columns.anycast_ms - columns.best_unicast_ms
+        daily_fractions[columns.day] = {
+            float(threshold): int((improvement >= threshold).sum()) / count
+            for threshold in thresholds
+        }
     if not daily_fractions:
         raise AnalysisError("no /24-day had enough measurements")
     return PoorPathPrevalence(
@@ -192,12 +220,11 @@ def poor_path_duration(
     min_samples: int = 10,
 ) -> PoorPathDuration:
     """Compute Fig 6 at one poor-path threshold (default: any = 1 ms)."""
-    improvements = daily_improvements(dataset, min_samples)
     poor_days: Dict[str, List[int]] = {}
-    for day, per_day in improvements.items():
-        for client_key, improvement in per_day.items():
-            if improvement.improvement_ms >= threshold_ms:
-                poor_days.setdefault(client_key, []).append(day)
+    for columns in _day_medians(dataset, min_samples):
+        poor = columns.anycast_ms - columns.best_unicast_ms >= threshold_ms
+        for client_key in itertools.compress(columns.groups, poor.tolist()):
+            poor_days.setdefault(client_key, []).append(columns.day)
     if not poor_days:
         raise AnalysisError("no /24 was ever poor at this threshold")
 

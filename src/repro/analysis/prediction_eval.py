@@ -10,8 +10,11 @@ The distribution is weighted by query volume, pooled over all day pairs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import AnalysisError
 from repro.analysis.stats import CdfSeries, WeightedDistribution, linear_grid
@@ -100,14 +103,25 @@ def evaluate_prediction(
     if len(days) < 2:
         raise AnalysisError("prediction evaluation needs >= 2 days")
 
-    # Percentile -> parallel improvement lists, per grouping.
-    per_percentile: Dict[Tuple[str, float], List[Tuple[float, float]]] = {
+    # (grouping, percentile) -> per-day-pair (improvements, weights)
+    # arrays, in client order.
+    per_percentile: Dict[
+        Tuple[str, float], List[Tuple[np.ndarray, np.ndarray]]
+    ] = {
         (grouping, percentile): []
         for grouping in groupings
         for percentile in eval_percentiles
     }
 
-    ldns_of = {client.key: client.ldns_id for client in dataset.clients}
+    client_keys = [client.key for client in dataset.clients]
+    group_keys = {
+        ECS: client_keys,
+        LDNS: [client.ldns_id for client in dataset.clients],
+    }
+    weights = np.array(
+        [client.daily_queries for client in dataset.clients], dtype=float
+    )
+    ecs = dataset.ecs_aggregates
 
     for prediction_day, evaluation_day in zip(days, days[1:]):
         if evaluation_day != prediction_day + 1:
@@ -115,44 +129,60 @@ def evaluate_prediction(
         predictions_by_grouping: Dict[str, Dict[str, Prediction]] = {}
         if ECS in groupings:
             predictions_by_grouping[ECS] = predictor.predict_day(
-                dataset.ecs_aggregates, prediction_day
+                ecs, prediction_day
             )
         if LDNS in groupings:
             predictions_by_grouping[LDNS] = predictor.predict_day(
                 dataset.ldns_aggregates, prediction_day
             )
-
-        for client in dataset.clients:
-            weight = client.daily_queries
-            anycast_digest = dataset.ecs_aggregates.digest(
-                evaluation_day, client.key, ANYCAST_TARGET
+        # Evaluation-day percentiles of every (client, target) digest
+        # with at least min_eval_samples samples.
+        table = ecs.day_percentiles(
+            evaluation_day, eval_percentiles, min_eval_samples
+        )
+        row_groups = itertools.chain.from_iterable(
+            map(
+                itertools.repeat,
+                table.groups,
+                np.diff(table.group_rows).tolist(),
             )
-            if anycast_digest is None or anycast_digest.count < min_eval_samples:
-                continue
-            for grouping in groupings:
-                group = client.key if grouping == ECS else ldns_of[client.key]
-                prediction = predictions_by_grouping[grouping].get(group)
-                target = (
-                    prediction.target_id if prediction else ANYCAST_TARGET
-                )
-                for percentile in eval_percentiles:
-                    if target == ANYCAST_TARGET:
-                        improvement = 0.0
-                    else:
-                        target_digest = dataset.ecs_aggregates.digest(
-                            evaluation_day, client.key, target
-                        )
-                        if (
-                            target_digest is None
-                            or target_digest.count < min_eval_samples
-                        ):
-                            continue
-                        improvement = anycast_digest.percentile(
-                            percentile
-                        ) - target_digest.percentile(percentile)
-                    per_percentile[(grouping, percentile)].append(
-                        (improvement, weight)
+        )
+        row_of = dict(
+            zip(zip(row_groups, table.targets), range(len(table.targets)))
+        )
+        # -1: the client has no such row and is not scored.
+        anycast_rows = np.array(
+            [row_of.get((key, ANYCAST_TARGET), -1) for key in client_keys],
+            dtype=np.int64,
+        )
+        for grouping in groupings:
+            predictions = predictions_by_grouping[grouping]
+            target_rows = np.array(
+                [
+                    row_of.get(
+                        (key, predictions[group].target_id)
+                        if group in predictions
+                        else (key, ANYCAST_TARGET),
+                        -1,
                     )
+                    for key, group in zip(client_keys, group_keys[grouping])
+                ],
+                dtype=np.int64,
+            )
+            scored = (anycast_rows >= 0) & (target_rows >= 0)
+            anycast = table.values[anycast_rows[scored]]
+            target = table.values[target_rows[scored]]
+            # A client predicted onto anycast itself scores exactly 0.
+            on_anycast = anycast_rows[scored] == target_rows[scored]
+            for j, percentile in enumerate(eval_percentiles):
+                per_percentile[(grouping, percentile)].append(
+                    (
+                        np.where(
+                            on_anycast, 0.0, anycast[:, j] - target[:, j]
+                        ),
+                        weights[scored],
+                    )
+                )
 
     series: List[CdfSeries] = []
     summaries: List[ImprovementSummary] = []
@@ -160,15 +190,16 @@ def evaluate_prediction(
     for grouping in groupings:
         label_prefix = "EDNS-0" if grouping == ECS else "LDNS"
         for percentile in eval_percentiles:
-            entries = per_percentile[(grouping, percentile)]
-            if not entries:
+            pieces = per_percentile[(grouping, percentile)]
+            if not any(len(improvements) for improvements, _ in pieces):
                 raise AnalysisError(
                     f"no client could be evaluated for {grouping} "
                     f"p{percentile}"
                 )
-            values = [improvement for improvement, _ in entries]
-            weights = [weight for _, weight in entries]
-            dist = WeightedDistribution(values, weights)
+            dist = WeightedDistribution(
+                np.concatenate([improvements for improvements, _ in pieces]),
+                np.concatenate([weight for _, weight in pieces]),
+            )
             name = "Median" if percentile == 50.0 else f"{percentile:.0f}th"
             series.append(
                 dist.cdf_series(f"{label_prefix} {name}", grid)

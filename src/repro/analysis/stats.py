@@ -36,21 +36,33 @@ class CdfSeries:
         return "\n".join(lines)
 
 
+def _as_float64(values: Iterable[float]) -> np.ndarray:
+    """A float64 array of ``values``; an ndarray converts directly, to
+    the same floats a trip through a Python list would give."""
+    if isinstance(values, np.ndarray):
+        return values.astype(np.float64, copy=False)
+    return np.asarray(list(values), dtype=np.float64)
+
+
 class WeightedDistribution:
-    """Values with non-negative weights; empirical distribution queries."""
+    """Values with non-negative weights; empirical distribution queries.
+
+    Values and weights may be any iterables of floats, numpy arrays
+    included (the input is never modified).
+    """
 
     def __init__(
         self,
         values: Iterable[float],
         weights: Optional[Iterable[float]] = None,
     ) -> None:
-        values_arr = np.asarray(list(values), dtype=np.float64)
+        values_arr = _as_float64(values)
         if values_arr.size == 0:
             raise AnalysisError("distribution needs at least one value")
         if weights is None:
             weights_arr = np.ones_like(values_arr)
         else:
-            weights_arr = np.asarray(list(weights), dtype=np.float64)
+            weights_arr = _as_float64(weights)
             if weights_arr.shape != values_arr.shape:
                 raise AnalysisError("values and weights must align")
             if np.any(weights_arr < 0):

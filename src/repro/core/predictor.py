@@ -14,11 +14,11 @@ The resulting mapping drives DNS redirection next interval via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import PredictionError
 from repro.dns.authoritative import ANYCAST_TARGET, StaticMappingPolicy
-from repro.measurement.aggregate import GroupedDailyAggregates, LatencyDigest
+from repro.measurement.aggregate import GroupedDailyAggregates
 
 
 @dataclass(frozen=True)
@@ -85,46 +85,63 @@ class HistoryBasedPredictor:
         return self._config
 
     def choose_target(
-        self, group: str, digests: Mapping[str, LatencyDigest]
+        self, group: str, rows: Iterable[Tuple[str, int, float]]
     ) -> Optional[Prediction]:
-        """The §6 scoring core over one group's target → digest map.
+        """The §6 scoring core over one group's ``(target_id, count,
+        score)`` rows, ``score`` being the target's
+        ``metric_percentile`` latency (any value for rows below the
+        sample cut, which are dropped here).
 
         This is the single definition of "score and choose" — the batch
-        paths (:meth:`predict_group`) and the live service's online
-        predictor (:mod:`repro.service.predictor`) both call it, so the
-        two can only ever disagree if their *windows* differ, never
-        their scoring.  Returns ``None`` when no target (anycast
-        included) reaches the sample cut — such groups simply stay on
-        anycast.
+        paths (:meth:`predict_day`, :meth:`predict_group`), the hybrid
+        redirector and the live service's online predictor
+        (:mod:`repro.service.predictor`) all reach it, so they can only
+        ever disagree if their *windows* differ, never their scoring.
+        Returns ``None`` when no target (anycast included) reaches the
+        sample cut — such groups simply stay on anycast.
         """
-        cfg = self._config
-        candidates = {
-            target_id: digest
-            for target_id, digest in digests.items()
-            if digest.count >= cfg.min_samples
-        }
-        if not candidates:
+        cut = self._config.min_samples
+        best: Optional[Tuple[float, bool, str]] = None
+        anycast_score: Optional[float] = None
+        for target_id, count, score in rows:
+            if count < cut:
+                continue
+            if target_id == ANYCAST_TARGET:
+                anycast_score = score
+            # Deterministic tie-break; anycast wins ties so prediction
+            # only redirects when a front-end is strictly better.
+            rank = (score, target_id != ANYCAST_TARGET, target_id)
+            if best is None or rank < best:
+                best = rank
+        if best is None:
             return None
-        scores = {
-            target_id: digest.percentile(cfg.metric_percentile)
-            for target_id, digest in candidates.items()
-        }
-        # Deterministic tie-break; anycast wins ties so prediction only
-        # redirects when a front-end is strictly better.
-        best = min(
-            scores,
-            key=lambda target_id: (
-                scores[target_id],
-                target_id != ANYCAST_TARGET,
-                target_id,
-            ),
-        )
         return Prediction(
             group=group,
-            target_id=best,
-            metric_ms=scores[best],
-            anycast_metric_ms=scores.get(ANYCAST_TARGET),
+            target_id=best[2],
+            metric_ms=best[0],
+            anycast_metric_ms=anycast_score,
         )
+
+    def _scored_groups(
+        self, aggregates: GroupedDailyAggregates, day: int
+    ) -> Iterator[Tuple[str, Iterator[Tuple[str, int, float]]]]:
+        """``(group, rows)`` for every group with a target reaching the
+        sample cut on ``day``, the ``(target_id, count, score)`` rows
+        read from one bulk
+        :meth:`GroupedDailyAggregates.day_percentiles` table."""
+        cfg = self._config
+        table = aggregates.day_percentiles(
+            day, (cfg.metric_percentile,), cfg.min_samples
+        )
+        counts = table.counts.tolist()
+        scores = table.values[:, 0].tolist()
+        bounds = table.group_rows.tolist()
+        for group, start, stop in zip(table.groups, bounds, bounds[1:]):
+            yield group, zip(
+                table.targets[start:stop],
+                counts[start:stop],
+                scores[start:stop],
+            )
 
     def predict_group(
         self, aggregates: GroupedDailyAggregates, day: int, group: str
@@ -134,17 +151,21 @@ class HistoryBasedPredictor:
         Returns ``None`` when no target (anycast included) reaches the
         sample cut — such groups simply stay on anycast.
         """
-        return self.choose_target(
-            group, aggregates.targets_for(day, group)
-        )
+        for name, rows in self._scored_groups(aggregates, day):
+            if name == group:
+                return self.choose_target(group, rows)
+        return None
 
     def predict_day(
         self, aggregates: GroupedDailyAggregates, day: int
     ) -> Dict[str, Prediction]:
-        """Predictions for every group measurable on ``day``."""
+        """Predictions for every group measurable on ``day``, in group
+        order."""
         predictions: Dict[str, Prediction] = {}
-        for group in aggregates.groups_on(day):
-            prediction = self.predict_group(aggregates, day, group)
+        for group, rows in sorted(
+            self._scored_groups(aggregates, day), key=lambda item: item[0]
+        ):
+            prediction = self.choose_target(group, rows)
             if prediction is not None:
                 predictions[group] = prediction
         return predictions

@@ -5,8 +5,11 @@ describes the measurement apparatus: build the environment, run the
 campaign once, then answer each figure from the collected dataset.  The
 expensive stages — :attr:`AnycastStudy.scenario` (scenario build) and
 :attr:`AnycastStudy.dataset` (the campaign) — are cached and run at most
-once per study instance; the figure methods are not cached and
-recompute their analysis from the dataset on every call.
+once per study instance.  The figure methods keep no results: each call
+recomputes its analysis from the dataset.  The one state they share is
+the ECS/LDNS sinks' memo of per-day percentile columns
+(:meth:`repro.measurement.aggregate.GroupedDailyAggregates.day_percentiles`),
+so Figs 5, 6 and 9 sort each day's samples once between them.
 """
 
 from __future__ import annotations

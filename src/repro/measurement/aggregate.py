@@ -25,6 +25,7 @@ Two aggregation modes exist end to end:
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -48,6 +49,12 @@ from repro.measurement.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     LatencySketch,
 )
+
+
+#: Percentiles :meth:`GroupedDailyAggregates.day_percentiles` keeps for
+#: every day it sorts: the predictor's p25, the daily medians and the
+#: Fig 9 evaluation's p75 (with p50).
+_MEMO_QUARTILES = (25.0, 50.0, 75.0)
 
 
 class LatencyDigest:
@@ -344,9 +351,11 @@ class LatencyDigest:
         if self._sorted_array is None:
             # np.frombuffer views the array's buffer; np.sort copies, so
             # the cached result is safe against later appends (which
-            # invalidate it anyway).
+            # invalidate it anyway).  A stable sort orders tied samples
+            # (-0.0 and 0.0) as ``sorted`` does on the small path, and as
+            # GroupedDailyAggregates.day_percentiles does.
             self._sorted_array = np.sort(
-                np.frombuffer(self._values, dtype=np.float64)
+                np.frombuffer(self._values, dtype=np.float64), kind="stable"
             )
         ordered = self._sorted_array
         rank = (q / 100.0) * (len(ordered) - 1)
@@ -426,6 +435,130 @@ class DayColumns(NamedTuple):
     samples: np.ndarray
 
 
+class DayPercentiles(NamedTuple):
+    """Percentiles of every digest of one day that has enough samples,
+    grouped by group in :meth:`GroupedDailyAggregates.iter_day` order.
+
+    Attributes:
+        groups: Every group with at least one row.
+        group_rows: int64 offsets, one more than ``groups``: the rows of
+            ``groups[g]`` are ``group_rows[g]:group_rows[g + 1]``.
+        targets: The target of each row.
+        counts: int64 sample count of each row's digest.
+        values: float64 array of shape ``(rows, len(qs))``: row ``i``,
+            column ``j`` equals ``digest.percentile(qs[j])`` of row
+            ``i``'s digest, bit for bit.
+    """
+
+    groups: List[str]
+    group_rows: np.ndarray
+    targets: List[str]
+    counts: np.ndarray
+    values: np.ndarray
+
+
+def _digest_columns(
+    digests: Sequence[LatencyDigest],
+) -> Tuple[np.ndarray, List[Tuple[int, LatencySketch]], np.ndarray]:
+    """``(counts, sketches, samples)`` of :class:`DayColumns` for
+    ``digests``, the exact samples joined straight from their C-double
+    buffers (one copy, no per-sample Python work)."""
+    buffers = [digest._values for digest in digests]
+    sketches: List[Tuple[int, LatencySketch]] = []
+    if None in buffers:
+        for index, samples in enumerate(buffers):
+            if samples is None:
+                sketch = digests[index]._sketch
+                assert sketch is not None
+                sketches.append((index, sketch))
+        buffers = [
+            samples if samples is not None else array("d")
+            for samples in buffers
+        ]
+    counts = np.fromiter(map(len, buffers), np.int64, len(buffers))
+    for index, sketch in sketches:
+        counts[index] = sketch.count
+    return (
+        counts,
+        sketches,
+        np.frombuffer(b"".join(buffers), dtype=np.float64),
+    )
+
+
+def _row_percentiles(
+    counts: np.ndarray,
+    sketches: Sequence[Tuple[int, LatencySketch]],
+    samples: np.ndarray,
+    qs: Sequence[float],
+) -> np.ndarray:
+    """``(len(counts), len(qs))`` percentiles of every digest of a
+    :class:`DayColumns` (``counts``, ``sketches``, ``samples``).
+
+    Exact digests are sorted as rows of a padded matrix, one matrix per
+    power-of-two row width (``+inf`` fills the tail and sorts past every
+    sample), and read with :meth:`LatencyDigest.percentile`'s own
+    interpolation, so each value equals the scalar method's bit for bit.
+    Promoted digests answer from their sketch; empty digests read NaN.
+    """
+    out = np.full((len(counts), len(qs)), np.nan)
+    exact = counts.copy()
+    for index, sketch in sketches:
+        exact[index] = 0
+        if sketch.count:
+            out[index] = [sketch.quantile(q) for q in qs]
+    rows = np.flatnonzero(exact)
+    run = exact[rows]
+    # Row width 2**e holds a count in (2**(e-1), 2**e].  Rows are laid
+    # out by width (stable, so key order within a width) in one
+    # +inf-filled buffer, and one scatter puts every sample in its slot.
+    _, exponents = np.frexp((run - 1).astype(np.float64))
+    exponents = exponents.astype(np.int8)
+    widths = np.left_shift(1, exponents.astype(np.int64))
+    order = np.argsort(exponents, kind="stable")
+    slots = np.cumsum(widths[order]) - widths[order]
+    row_slot = np.empty_like(slots)
+    row_slot[order] = slots
+    # Each sample's slot is one past the previous sample's, except at a
+    # row's first sample, which jumps to the row's slot: one cumsum.
+    slot_of = np.ones(len(samples), dtype=np.int64)
+    if len(rows):
+        slot_of[np.cumsum(run) - run] = row_slot - np.concatenate(
+            ([0], row_slot[:-1] + run[:-1] - 1)
+        )
+    np.cumsum(slot_of, out=slot_of)
+    buffer = np.full(int(widths.sum()), np.inf)
+    buffer[slot_of] = samples
+    del slot_of
+    # Only -0.0 and 0.0 tie without being the same float; when both may
+    # meet in a row, sort stably so they keep the order ``sorted`` and
+    # the scalar method give them.
+    kind = (
+        "stable" if np.signbit(samples[samples == 0.0]).any() else None
+    )
+    sorted_exponents = exponents[order]
+    bounds = np.flatnonzero(
+        np.diff(sorted_exponents, prepend=-1, append=-1)
+    ).tolist()
+    for low_row, high_row in zip(bounds[:-1], bounds[1:]):
+        width = 1 << int(sorted_exponents[low_row])
+        offset = int(slots[low_row])
+        buffer[offset : offset + (high_row - low_row) * width].reshape(
+            high_row - low_row, width
+        ).sort(axis=1, kind=kind)
+    last = (run - 1).astype(np.float64)
+    for j, q in enumerate(qs):
+        rank = (q / 100.0) * last
+        low = np.floor(rank)
+        high = np.ceil(rank)
+        fraction = rank - low
+        low_values = buffer[row_slot + low.astype(np.int64)]
+        high_values = buffer[row_slot + high.astype(np.int64)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            blended = low_values * (1.0 - fraction) + high_values * fraction
+        out[rows, j] = np.where(low == high, low_values, blended)
+    return out
+
+
 class GroupedDailyAggregates:
     """day → group → target → :class:`LatencyDigest`.
 
@@ -437,6 +570,10 @@ class GroupedDailyAggregates:
     ``exact_threshold``/``relative_accuracy`` configure the two-mode
     behavior of every digest created here (see :class:`LatencyDigest`);
     the defaults keep everything exact.
+
+    :meth:`day_percentiles` memoizes one float64 column per (day,
+    percentile) and every mutating method drops the memo, so digests
+    taken from the sink are read-only: change them through the sink.
     """
 
     def __init__(
@@ -453,6 +590,11 @@ class GroupedDailyAggregates:
         self._relative_accuracy = relative_accuracy
         self._max_buckets = max_buckets
         self._days: Dict[int, Dict[str, Dict[str, LatencyDigest]]] = {}
+        #: day -> (count column, percentile -> value column), both in
+        #: iter_day order; see day_percentiles.
+        self._percentiles: Dict[
+            int, Tuple[np.ndarray, Dict[float, np.ndarray]]
+        ] = {}
 
     @property
     def grouping(self) -> str:
@@ -492,6 +634,8 @@ class GroupedDailyAggregates:
 
     def observe(self, day: int, group: str, target_id: str, rtt_ms: float) -> None:
         """Add one measurement."""
+        if self._percentiles:
+            self._percentiles.clear()
         per_day = self._days.setdefault(day, {})
         per_group = per_day.get(group)
         if per_group is None:
@@ -520,6 +664,8 @@ class GroupedDailyAggregates:
         """
         if len(rtts_ms) == 0:
             return
+        if self._percentiles:
+            self._percentiles.clear()
         per_day = self._days.setdefault(day, {})
         per_group = per_day.get(group)
         if per_group is None:
@@ -551,6 +697,8 @@ class GroupedDailyAggregates:
         """
         if not entries:
             return
+        if self._percentiles:
+            self._percentiles.clear()
         per_day = self._days.setdefault(day, {})
         contiguous = np.ascontiguousarray(values, dtype=np.float64)
         raw = memoryview(contiguous.tobytes())
@@ -593,6 +741,31 @@ class GroupedDailyAggregates:
         """The digest for one (day, group, target), or ``None``."""
         return self._days.get(day, {}).get(group, {}).get(target_id)
 
+    def set_digest(
+        self, day: int, group: str, target_id: str, digest: LatencyDigest
+    ) -> None:
+        """Hold ``digest`` for one (day, group, target), replacing any
+        digest held there (validation rebuilds and checkpoint restores
+        write through this).
+
+        Raises:
+            MeasurementError: when the digest's sketch configuration
+                differs from this sink's.
+        """
+        if (
+            digest.exact_threshold != self._exact_threshold
+            or digest.relative_accuracy != self._relative_accuracy
+            or digest.max_buckets != self._max_buckets
+        ):
+            raise MeasurementError(
+                "digest sketch configuration differs from the sink's"
+            )
+        if self._percentiles:
+            self._percentiles.clear()
+        self._days.setdefault(day, {}).setdefault(group, {})[
+            target_id
+        ] = digest
+
     def targets_for(self, day: int, group: str) -> Dict[str, LatencyDigest]:
         """target_id → digest for one group-day."""
         return dict(self._days.get(day, {}).get(group, {}))
@@ -615,29 +788,25 @@ class GroupedDailyAggregates:
         one does (exports and shard transport).
         """
         per_day = self._days.get(day, {})
-        keys: List[Tuple[str, str]] = []
-        counts: List[int] = []
-        sketches: List[Tuple[int, LatencySketch]] = []
-        buffers: List[array] = []
-        for group in sorted(per_day) if ordered else per_day:
-            per_group = per_day[group]
-            for target_id in sorted(per_group) if ordered else per_group:
-                digest = per_group[target_id]
-                samples = digest._values
-                if samples is None:
-                    assert digest._sketch is not None
-                    sketches.append((len(keys), digest._sketch))
-                    counts.append(digest._sketch.count)
-                else:
-                    buffers.append(samples)
-                    counts.append(len(samples))
-                keys.append((group, target_id))
-        return DayColumns(
-            keys=keys,
-            counts=np.asarray(counts, dtype=np.int64),
-            sketches=sketches,
-            samples=np.frombuffer(b"".join(buffers), dtype=np.float64),
-        )
+        if ordered:
+            keys = [
+                (group, target_id)
+                for group in sorted(per_day)
+                for target_id in sorted(per_day[group])
+            ]
+            digests = [per_day[group][target_id] for group, target_id in keys]
+        else:
+            keys = [
+                (group, target_id)
+                for group, per_group in per_day.items()
+                for target_id in per_group
+            ]
+            digests = [
+                digest
+                for per_group in per_day.values()
+                for digest in per_group.values()
+            ]
+        return DayColumns(keys, *_digest_columns(digests))
 
     def load_day_columns(self, day: int, columns: DayColumns) -> None:
         """Rebuild one day's digests from :meth:`day_columns` output.
@@ -684,6 +853,8 @@ class GroupedDailyAggregates:
             )
         if not keys:
             return
+        if self._percentiles:
+            self._percentiles.clear()
         per_day = self._days.setdefault(day, {})
         for index, (group, target_id) in enumerate(keys):
             per_group = per_day.get(group)
@@ -709,6 +880,80 @@ class GroupedDailyAggregates:
                 )
             ],
             samples,
+        )
+
+    def day_percentiles(
+        self, day: int, qs: Sequence[float], min_count: int = 1
+    ) -> DayPercentiles:
+        """Percentiles ``qs`` of every digest of ``day`` holding at least
+        ``min_count`` samples, in bulk.
+
+        Each value equals ``digest.percentile(q)`` bit for bit, but the
+        exact digests are sorted together as rows of a few padded
+        matrices (see :func:`_row_percentiles`) rather than one by one,
+        and no digest caches a sorted copy.  One value column per (day,
+        q), over every digest of the day, is memoized until the sink
+        next changes.  A day sorted for any percentile also keeps its
+        quartiles, the percentiles the §5–§6 figures read, so those
+        figures sort each day's samples once.
+
+        Raises:
+            AnalysisError: on a ``q`` outside [0, 100] or a
+                ``min_count`` below 1.
+        """
+        qs = tuple(float(q) for q in qs)
+        for q in qs:
+            if not 0.0 <= q <= 100.0:
+                raise AnalysisError(
+                    f"percentile must be in [0, 100], got {q}"
+                )
+        if min_count < 1:
+            raise AnalysisError("min_count must be >= 1")
+        per_day = self._days.get(day, {})
+        memo = self._percentiles.get(day)
+        if memo is None or not all(q in memo[1] for q in qs):
+            missing = [
+                q
+                for q in dict.fromkeys(qs + _MEMO_QUARTILES)
+                if memo is None or q not in memo[1]
+            ]
+            counts, sketches, samples = _digest_columns(
+                [
+                    digest
+                    for per_group in per_day.values()
+                    for digest in per_group.values()
+                ]
+            )
+            if memo is None:
+                memo = self._percentiles[day] = (counts, {})
+            table = _row_percentiles(counts, sketches, samples, missing)
+            for j, q in enumerate(missing):
+                memo[1][q] = table[:, j].copy()
+        counts, by_q = memo
+        keep = counts >= min_count
+        rows = np.flatnonzero(keep)
+        values = np.empty((len(rows), len(qs)))
+        for j, q in enumerate(qs):
+            values[:, j] = by_q[q][rows]
+        # Kept rows per group: the running kept count at each group's
+        # end, differenced.
+        kept_before = np.concatenate(([0], np.cumsum(keep)))
+        group_ends = np.cumsum(
+            np.fromiter(map(len, per_day.values()), np.int64, len(per_day))
+        )
+        per_group = np.diff(kept_before[group_ends], prepend=0)
+        present = per_group > 0
+        return DayPercentiles(
+            groups=list(itertools.compress(per_day, present.tolist())),
+            group_rows=np.concatenate(([0], np.cumsum(per_group[present]))),
+            targets=list(
+                itertools.compress(
+                    itertools.chain.from_iterable(per_day.values()),
+                    keep.tolist(),
+                )
+            ),
+            counts=counts[rows],
+            values=values,
         )
 
     def sketch_stats(self) -> Tuple[int, int, int, int, int]:
@@ -754,6 +999,8 @@ class GroupedDailyAggregates:
                 "cannot merge aggregates with different sketch "
                 "configurations"
             )
+        if self._percentiles:
+            self._percentiles.clear()
         for day, per_day in other._days.items():
             mine_day = self._days.setdefault(day, {})
             for group, per_group in per_day.items():
@@ -791,8 +1038,8 @@ class RequestDiffLog:
     (``bounded=True``) keeps one :class:`LatencySketch` of the diff
     distribution per (day, region) instead — constant-size state per
     region-day, at the cost of per-row access (:meth:`rows`,
-    :meth:`diffs`), which raise.  Fig 3 consumes the sketches through
-    :meth:`diff_sketch`.
+    :meth:`columns`), which raise.  Fig 3 reads :meth:`columns` in exact
+    mode and the sketches through :meth:`diff_sketch` in bounded mode.
     """
 
     def __init__(
@@ -1008,33 +1255,6 @@ class RequestDiffLog:
     def __len__(self) -> int:
         return self._total if self._bounded else len(self._day)
 
-    def diffs(self, region_name: Optional[str] = None) -> List[float]:
-        """Anycast minus best-unicast per request, optionally one region.
-
-        Raises:
-            MeasurementError: in bounded mode, which retains no rows —
-                use :meth:`diff_sketch` instead.
-        """
-        if self._bounded:
-            raise MeasurementError(
-                "bounded diff log retains no per-request rows; use "
-                "diff_sketch() for the distribution"
-            )
-        if region_name is None:
-            return [
-                a - b for a, b in zip(self._anycast, self._best_unicast)
-            ]
-        if region_name not in self._region_codes:
-            return []
-        want = self._region_codes[region_name]
-        return [
-            a - b
-            for a, b, code in zip(
-                self._anycast, self._best_unicast, self._region_code
-            )
-            if code == want
-        ]
-
     def diff_sketch(
         self, region_name: Optional[str] = None
     ) -> Optional[LatencySketch]:
@@ -1046,11 +1266,11 @@ class RequestDiffLog:
 
         Raises:
             MeasurementError: in exact mode, which has no sketches —
-                use :meth:`diffs`.
+                use :meth:`columns`.
         """
         if not self._bounded:
             raise MeasurementError(
-                "exact diff log has no sketches; use diffs()"
+                "exact diff log has no sketches; use columns()"
             )
         merged: Optional[LatencySketch] = None
         for (_, region), sketch in self._sketches.items():
@@ -1068,7 +1288,7 @@ class RequestDiffLog:
         """The raw (day, region) → sketch map (bounded mode only)."""
         if not self._bounded:
             raise MeasurementError(
-                "exact diff log has no sketches; use diffs()/rows()"
+                "exact diff log has no sketches; use columns()/rows()"
             )
         return dict(self._sketches)
 

@@ -593,7 +593,7 @@ def validate_dataset(
                     relative_accuracy=digest.relative_accuracy,
                     max_buckets=digest.max_buckets,
                 )
-                aggregates._days[day][group][target_id] = replacement
+                aggregates.set_digest(day, group, target_id, replacement)
     diffs = dataset.request_diffs
     if diffs.is_bounded:
         # Bounded logs hold sketches of already-gated diffs, not rows.
@@ -603,8 +603,7 @@ def validate_dataset(
                 0, dataset.measurement_count - removed
             )
         return gate, removed
-    anycast = np.frombuffer(diffs._anycast, dtype=np.float32)
-    best = np.frombuffer(diffs._best_unicast, dtype=np.float32)
+    anycast, best = diffs.columns()[3:]
     with np.errstate(invalid="ignore"):
         row_valid = (
             (anycast >= 0.0)

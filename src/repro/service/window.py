@@ -311,10 +311,9 @@ class PredictionWindow:
                             window.relative_accuracy,
                             window.max_buckets,
                         )
-                        per_day = aggregates._days.setdefault(day, {})
-                        per_day.setdefault(str(group), {})[
-                            str(target_id)
-                        ] = digest
+                        aggregates.set_digest(
+                            day, str(group), str(target_id), digest
+                        )
         except (KeyError, TypeError, ValueError) as error:
             raise MeasurementError(
                 f"malformed prediction-window document ({error})"

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.clients.population import ClientPrefix
 from repro.geo.coords import GeoPoint
 from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
@@ -89,3 +91,17 @@ def framed_export(dataset: StudyDataset, **header: Any) -> io.StringIO:
     write_segment_file(buffer, frames)
     buffer.seek(0)
     return buffer
+
+
+def diff_values(
+    log: RequestDiffLog, region_name: Optional[str] = None
+) -> List[float]:
+    """Anycast minus best-unicast per request (optionally one region),
+    in row order, from :meth:`RequestDiffLog.columns`."""
+    _, _, codes, anycast, best = log.columns()
+    values = anycast.astype(np.float64) - best.astype(np.float64)
+    if region_name is not None:
+        if region_name not in log.region_names:
+            return []
+        values = values[codes == log.region_names.index(region_name)]
+    return values.tolist()

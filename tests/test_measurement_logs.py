@@ -18,6 +18,8 @@ from repro.measurement.logs import (
     ServerLogEntry,
 )
 
+from tests.helpers import diff_values
+
 
 class TestLatencyDigest:
     def test_count_and_percentiles(self):
@@ -94,9 +96,9 @@ class TestRequestDiffLog:
         log.observe(0, 1, "europe", 30.0, 20.0)
         log.observe(0, 2, "united-states", 15.0, 18.0)
         assert len(log) == 2
-        assert log.diffs() == pytest.approx([10.0, -3.0])
-        assert log.diffs("europe") == pytest.approx([10.0])
-        assert log.diffs("asia") == []
+        assert diff_values(log) == pytest.approx([10.0, -3.0])
+        assert diff_values(log, "europe") == pytest.approx([10.0])
+        assert diff_values(log, "asia") == []
 
     def test_region_codes_stable(self):
         log = RequestDiffLog()

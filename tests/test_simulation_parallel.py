@@ -22,6 +22,8 @@ from repro.simulation.parallel import (
 )
 from repro.simulation.scenario import Scenario, ScenarioConfig
 
+from tests.helpers import diff_values
+
 
 @pytest.fixture(scope="module")
 def tiny_config() -> ScenarioConfig:
@@ -127,8 +129,8 @@ class TestMergeRequestDiffs:
         b.observe(1, 3, "europe", 25.0, 26.0)
         a.merge(b)
         assert len(a) == 3
-        assert a.diffs("europe") == pytest.approx([10.0, -1.0])
-        assert a.diffs("asia") == pytest.approx([5.0])
+        assert diff_values(a, "europe") == pytest.approx([10.0, -1.0])
+        assert diff_values(a, "asia") == pytest.approx([5.0])
 
     def test_merge_empty(self):
         a = RequestDiffLog()
@@ -137,7 +139,7 @@ class TestMergeRequestDiffs:
         assert len(a) == 1
         empty = RequestDiffLog()
         empty.merge(a)
-        assert empty.diffs() == pytest.approx([10.0])
+        assert diff_values(empty) == pytest.approx([10.0])
 
     def test_rows_carry_day(self):
         log = RequestDiffLog()

@@ -161,7 +161,7 @@ def test_bounded_diff_log():
     log.observe(1, 3, "asia", 90.0, 10.0)
     assert len(log) == 4
     with pytest.raises(MeasurementError):
-        log.diffs()
+        log.columns()
     with pytest.raises(MeasurementError):
         list(log.rows())
     europe = log.diff_sketch("europe")
